@@ -65,6 +65,20 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _config_int(cfg, key: str, context: str, default: int | None = None) -> int:
+    """Read an integer field; integral floats pass, bools and fractions do not."""
+    if key not in cfg:
+        if default is None:
+            raise ValueError(f"{context}: missing '{key}'")
+        return default
+    value = cfg[key]
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{context}: '{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_graph(cfg, context: str = "graph"):
     """Build a DirectedGraph or CirculantSpec from a config object."""
     _check_keys(cfg, {"family", "size", "directed", "coefficients", "path"}, context)
@@ -73,11 +87,11 @@ def _build_graph(cfg, context: str = "graph"):
     if not isinstance(directed, bool):
         raise ValueError(f"{context}: 'directed' must be a boolean")
     if family == "star":
-        return build_star(int(cfg["size"]), directed)
+        return build_star(_config_int(cfg, "size", context), directed)
     if family == "ring":
-        return ring_spec(int(cfg["size"]), directed)
+        return ring_spec(_config_int(cfg, "size", context), directed)
     if family == "moebius":
-        return moebius_spec(int(cfg["size"]), directed)
+        return moebius_spec(_config_int(cfg, "size", context), directed)
     if family == "circulant":
         coeffs = cfg.get("coefficients")
         if not isinstance(coeffs, list):
@@ -129,7 +143,7 @@ def _build_grid(cfg) -> TimeGrid:
     return TimeGrid(
         float(cfg.get("start", DEFAULT_TIME_GRID.t_start)),
         float(cfg.get("end", DEFAULT_TIME_GRID.t_end)),
-        int(cfg.get("steps", DEFAULT_TIME_GRID.steps)),
+        _config_int(cfg, "steps", "time_grid", DEFAULT_TIME_GRID.steps),
     )
 
 
@@ -221,7 +235,7 @@ def cmd_simulate(args) -> int:
     graph = _build_graph(cfg["graph"])
     series = _build_series(cfg.get("coupling"))
     grid = _build_grid(cfg.get("time_grid"))
-    initial = int(cfg.get("initial_node", 0))
+    initial = _config_int(cfg, "initial_node", "config", 0)
     result = run_walk(graph, alphas[0], series, initial, grid, _graph_label(cfg["graph"]))
     header = _header_lines(cfg, args.seed, "simulate", [f"alpha: {alphas[0]:.17g}"])
     _write_artifacts(result, cfg.get("output", {}), args.out_dir, header)
@@ -240,7 +254,7 @@ def cmd_sweep(args) -> int:
     graph = _build_graph(cfg["graph"])
     series = _build_series(cfg.get("coupling"))
     grid = _build_grid(cfg.get("time_grid"))
-    initial = int(cfg.get("initial_node", 0))
+    initial = _config_int(cfg, "initial_node", "config", 0)
     results = sweep_alpha(graph, alphas, series, initial, grid, threads=args.threads)
     output_cfg = dict(cfg.get("output", {}))
     _check_keys(output_cfg, {"csv", "heatmap", "scale", "amplitudes"}, "output")
@@ -314,7 +328,7 @@ def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
     series = _build_series(check_cfg.get("coupling"))
     if "time_grid" in check_cfg:
         grid = _build_grid(check_cfg["time_grid"])
-    initial = int(check_cfg.get("initial_node", 0))
+    initial = _config_int(check_cfg, "initial_node", "check", 0)
     reports: list[PropertyReport] = []
     if prop == "suppression":
         if "graph" in check_cfg:
@@ -328,9 +342,9 @@ def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
                 check_transport_suppression(graph, series, grid, partition, label)
             )
     elif prop == "suppression-random":
-        count = int(check_cfg.get("count", 20))
-        max_nodes = int(check_cfg.get("max_nodes", 16))
-        max_degree = int(check_cfg.get("max_degree", 5))
+        count = _config_int(check_cfg, "count", "check", 20)
+        max_nodes = _config_int(check_cfg, "max_nodes", "check", 16)
+        max_degree = _config_int(check_cfg, "max_degree", "check", 5)
         base = seed if seed is not None else 0
         for k in range(count):
             rng = np.random.default_rng((base, k))

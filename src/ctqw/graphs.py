@@ -45,10 +45,6 @@ class DirectedGraph:
         """True when every edge has its reverse (A = A^T)."""
         return all((j, i) in self.edges for i, j in self.edges)
 
-    def underlying_pairs(self) -> frozenset[Edge]:
-        """Undirected support: each edge as a sorted pair."""
-        return frozenset((min(i, j), max(i, j)) for i, j in self.edges)
-
 
 @dataclass(frozen=True)
 class CirculantSpec:

@@ -2,14 +2,20 @@
 
 Every circulant matrix is diagonal in the discrete Fourier basis
 S[m, n] = exp(2*pi*i*m*n/N)/sqrt(N).  For a circulant adjacency with first
-row (a_0, ..., a_{N-1}) the phased Hermitian adjacency has the real spectrum
+row c = (a_0, ..., a_{N-1}) the phased Hermitian adjacency has the real
+spectrum
 
-    d_m(alpha) = 2 * sum_k a_k cos(alpha - 2*pi*m*k/N),
+    d_m(alpha) = 2 * sum_k a_k cos(alpha - 2*pi*m*k/N) = 2 Re(e^{i alpha} fft(c)_m),
 
 the Hamiltonian spectrum is D_m = J(d_m(alpha)) + J(d_m(-alpha)), and the
 propagator is U(t) = S exp(-i D t) S^H.  D is reversal-even
 (D_{N-m} = D_m), which makes S exp(-i D t) S^H equal to the evolution of the
 dense Hamiltonian.
+
+S is applied with ``numpy.fft`` (S^H psi = fft(psi)/sqrt(N),
+S phi = sqrt(N) ifft(phi)), so a whole amplitude grid costs O(T N log N)
+time and O(N * TIME_CHUNK) scratch memory.  ``fourier_basis`` builds S
+densely and serves only as a test oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ import numpy as np
 
 from .graphs import CirculantSpec
 from .operators import CouplingSeries
+
+# Time rows propagated per inverse FFT in ``circulant_amplitudes``.
+TIME_CHUNK = 64
 
 
 def fourier_basis(n: int) -> np.ndarray:
@@ -28,30 +37,35 @@ def fourier_basis(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
 
 
+def _spectrum(coeffs_fft: np.ndarray, alpha: float) -> np.ndarray:
+    return 2.0 * (np.exp(1j * alpha) * coeffs_fft).real
+
+
 def circulant_ah_spectrum(c: CirculantSpec, alpha: float) -> np.ndarray:
     """Spectrum of A_H(alpha) for a circulant adjacency, in Fourier mode order."""
-    n = c.n
-    coeffs = np.asarray(c.coefficients)
-    angles = 2.0 * np.pi * np.outer(np.arange(n), np.arange(n)) / n
-    return 2.0 * (np.cos(alpha - angles) @ coeffs)
+    return _spectrum(np.fft.fft(c.coefficients), alpha)
 
 
 def circulant_hamiltonian_spectrum(
     c: CirculantSpec, alpha: float, series: CouplingSeries
 ) -> np.ndarray:
     """Spectrum of H = J(A_H) + J(A_H)^T in Fourier mode order."""
-    return series.scalar(circulant_ah_spectrum(c, alpha)) + series.scalar(
-        circulant_ah_spectrum(c, -alpha)
-    )
+    f = np.fft.fft(c.coefficients)
+    return series.scalar(_spectrum(f, alpha)) + series.scalar(_spectrum(f, -alpha))
 
 
 def circulant_evolution(
     c: CirculantSpec, alpha: float, series: CouplingSeries, t: float
 ) -> np.ndarray:
-    """Propagator U(t) = S exp(-i D t) S^H of the circulant walk Hamiltonian."""
+    """Propagator U(t) = S exp(-i D t) S^H of the circulant walk Hamiltonian.
+
+    U is circulant with first column u = ifft(exp(-i D t)), so
+    U[i, j] = u[(i - j) % N].
+    """
     d = circulant_hamiltonian_spectrum(c, alpha, series)
-    s = fourier_basis(c.n)
-    return (s * np.exp(-1j * d * t)) @ s.conj().T
+    u = np.fft.ifft(np.exp(-1j * d * t))
+    k = np.arange(c.n)
+    return u[np.subtract.outer(k, k) % c.n]
 
 
 def circulant_amplitudes(
@@ -63,11 +77,16 @@ def circulant_amplitudes(
 ) -> np.ndarray:
     """Amplitudes of exp(-iHt) psi0 on a whole time grid, shape (T, N).
 
-    One Fourier transform of psi0 serves every grid point, so the cost is
-    O(N^2 + N T) instead of T dense propagators.
+    One FFT of psi0 serves every grid point; each chunk of TIME_CHUNK time
+    rows takes one batched inverse FFT, so the cost is O(T N log N) time and
+    O(N * TIME_CHUNK) scratch memory beyond the (T, N) result.
     """
     d = circulant_hamiltonian_spectrum(c, alpha, series)
-    s = fourier_basis(c.n)
-    phi = s.conj().T @ np.asarray(psi0, dtype=complex)
-    phases = np.exp(-1j * np.outer(d, np.asarray(times, dtype=float)))
-    return (s @ (phases * phi[:, None])).T
+    phi = np.fft.fft(np.asarray(psi0, dtype=complex))
+    times = np.asarray(times, dtype=float)
+    amps = np.empty((times.size, c.n), dtype=complex)
+    for start in range(0, times.size, TIME_CHUNK):
+        rows = amps[start : start + TIME_CHUNK]
+        phases = np.exp(-1j * np.outer(times[start : start + TIME_CHUNK], d))
+        np.fft.ifft(phases * phi, axis=1, out=rows)
+    return amps

@@ -111,6 +111,38 @@ def test_bad_inputs_exit_one(tmp_path):
     assert main(["simulate", "--config", str(not_json)]) == 1
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"graph": {"family": "ring", "size": 6.7}},
+        {"time_grid": {"start": 0.0, "end": 2.0, "steps": 4.9}},
+        {"initial_node": True},
+        {"graph": {"family": "ring"}},
+    ],
+    ids=["fractional-size", "fractional-steps", "bool-initial-node", "missing-size"],
+)
+def test_non_integer_config_fields_exit_one(tmp_path, capsys, overrides):
+    cfg = simulate_cfg(**overrides)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_integral_float_config_fields_accepted(tmp_path):
+    cfg = simulate_cfg(
+        graph={"family": "ring", "size": 6.0},
+        time_grid={"start": 0.0, "end": 2.0, "steps": 10.0},
+        initial_node=2.0,
+        output={"csv": "out.csv"},
+    )
+    code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
+    assert code == 0
+    _, probs = read_walk_csv(tmp_path / "out.csv")
+    oracle = run_walk(
+        ring_spec(6), math.pi / 4, CouplingSeries.exp(), 2, TimeGrid(0.0, 2.0, 10)
+    )
+    assert np.array_equal(probs, oracle.probabilities)
+
+
 def test_simulate_edge_list_family(tmp_path):
     graph_path = tmp_path / "ladder.txt"
     write_edge_list(build_moebius_ladder(6), graph_path)

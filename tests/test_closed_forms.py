@@ -12,6 +12,8 @@ from ctqw import (
     TimeGrid,
     assemble_hamiltonian,
     build_star,
+    circulant_hamiltonian_spectrum,
+    fourier_basis,
     half_pi_spectrum_shift,
     moebius_spec,
     ring_closed_form_support,
@@ -23,6 +25,7 @@ from ctqw import (
     star_probability,
     star_probability_field,
 )
+from ctqw import closed_forms
 
 
 def test_star_frequency_pinned_forms():
@@ -192,3 +195,52 @@ def test_half_pi_shift_rejects_unsuitable_specs():
     # moebius with even half-size has an even-index hop and must be refused
     with pytest.raises(ValueError):
         half_pi_spectrum_shift(moebius_spec(12), CouplingSeries.exp(), 0.1)
+
+
+def _dense_shift_deviations(c, series, delta, t, spectrum=circulant_hamiltonian_spectrum):
+    # the full-matrix form: H = S diag(D) S^H, U = S exp(-i D t) S^H and the
+    # sign pattern (-1)^(i+j) over every entry
+    n = c.n
+    d_plus = spectrum(c, math.pi / 2 + delta, series)
+    d_minus = spectrum(c, math.pi / 2 - delta, series)
+    s = fourier_basis(n)
+    signs = np.where((np.add.outer(np.arange(n), np.arange(n)) % 2) == 0, 1.0, -1.0)
+    h_plus = (s * d_plus) @ s.conj().T
+    h_minus = (s * d_minus) @ s.conj().T
+    u_plus = (s * np.exp(-1j * d_plus * t)) @ s.conj().T
+    u_minus = (s * np.exp(-1j * d_minus * t)) @ s.conj().T
+    return (
+        float(np.max(np.abs(h_plus - signs * h_minus))),
+        float(np.max(np.abs(u_plus - signs * u_minus))),
+    )
+
+
+def _odd_hop_spec(n, hops):
+    coeffs = np.zeros(n)
+    coeffs[list(hops)] = 1.0
+    return CirculantSpec(tuple(coeffs))
+
+
+@pytest.mark.parametrize("spec", [ring_spec(12), _odd_hop_spec(64, (1, 5))])
+def test_half_pi_first_column_reduction_matches_dense(spec, monkeypatch):
+    series, delta, t = CouplingSeries.exp(), 0.35, 0.9
+    report = half_pi_spectrum_shift(spec, series, delta, t)
+    dense_h, dense_u = _dense_shift_deviations(spec, series, delta, t)
+    assert abs(report.hamiltonian - dense_h) < 1e-12
+    assert abs(report.evolution - dense_u) < 1e-12
+
+    # break the identity with a perturbation that is not reversal-even, so
+    # the deviations are O(1) and the reduction is compared entry for entry
+    # rather than both sides merely being small
+    kick = np.random.default_rng(spec.n).uniform(-0.5, 0.5, spec.n)
+
+    def perturbed(c, alpha, s):
+        d = circulant_hamiltonian_spectrum(c, alpha, s)
+        return d + kick if alpha > math.pi / 2 else d
+
+    monkeypatch.setattr(closed_forms, "circulant_hamiltonian_spectrum", perturbed)
+    report = half_pi_spectrum_shift(spec, series, delta, t)
+    dense_h, dense_u = _dense_shift_deviations(spec, series, delta, t, perturbed)
+    assert report.hamiltonian > 1e-3 and report.evolution > 1e-3
+    assert abs(report.hamiltonian - dense_h) < 1e-12
+    assert abs(report.evolution - dense_u) < 1e-12

@@ -1,8 +1,10 @@
 """Fourier-basis diagonalization of circulant walks against dense linear algebra."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from ctqw import (
     localized_state,
     ring_spec,
 )
+from ctqw.spectral import TIME_CHUNK
 
 
 def test_fourier_basis_frozen_column():
@@ -129,3 +132,78 @@ def test_amplitudes_grid_matches_single_steps():
     for k, t in enumerate(times):
         step = circulant_evolution(spec, alpha, series, float(t)) @ psi0
         assert np.max(np.abs(amps[k] - step)) < 1e-12
+
+
+def _dense_propagator(spec, alpha, series, t):
+    s = fourier_basis(spec.n)
+    d = circulant_hamiltonian_spectrum(spec, alpha, series)
+    return (s * np.exp(-1j * d * t)) @ s.conj().T
+
+
+def _spec_for(n):
+    # hops 1 and the largest offset below n/2, plus a fractional weight so
+    # the spectrum is not reversal-symmetric by accident
+    coeffs = np.zeros(n)
+    if n > 1:
+        coeffs[1] = 1.0
+        coeffs[max(1, (n - 1) // 2)] += 0.5
+    return CirculantSpec(tuple(coeffs))
+
+
+def _superposition(n):
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 97, 1000])
+def test_ah_spectrum_matches_cosine_table(n):
+    spec = _spec_for(n)
+    m = np.arange(n)
+    for alpha in (0.0, 0.7, -2.3):
+        table = 2.0 * np.cos(alpha - 2.0 * np.pi * np.outer(m, m) / n) @ spec.coefficients
+        assert np.max(np.abs(circulant_ah_spectrum(spec, alpha) - table)) < 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 97, 1000])
+@pytest.mark.parametrize("steps", [1, TIME_CHUNK - 1, TIME_CHUNK, TIME_CHUNK + 1])
+def test_amplitudes_match_dense_fourier_oracle(n, steps):
+    spec = _spec_for(n)
+    series = CouplingSeries.exp()
+    alpha = 0.7
+    times = np.linspace(0.25, 3.0, steps)
+    s = fourier_basis(n)
+    d = circulant_hamiltonian_spectrum(spec, alpha, series)
+    for psi0 in (localized_state(n, n // 2), _superposition(n)):
+        amps = circulant_amplitudes(spec, alpha, series, psi0, times)
+        assert amps.shape == (steps, n)
+        oracle = (s @ (np.exp(-1j * np.outer(d, times)) * (s.conj().T @ psi0)[:, None])).T
+        assert np.max(np.abs(amps - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 97, 1000])
+def test_evolution_matches_dense_fourier_oracle(n):
+    spec = _spec_for(n)
+    series = CouplingSeries.sinh()
+    u = circulant_evolution(spec, -1.1, series, 2.3)
+    assert np.max(np.abs(u - _dense_propagator(spec, -1.1, series, 2.3))) < 1e-12
+
+
+def test_amplitudes_empty_grid():
+    amps = circulant_amplitudes(ring_spec(5), 0.3, CouplingSeries.exp(), localized_state(5, 0), [])
+    assert amps.shape == (0, 5)
+
+
+def test_amplitudes_scratch_memory_is_linear_in_n():
+    # a single N x N complex table at N = 4096 would take 256 MiB
+    n = 4096
+    spec = ring_spec(n)
+    psi0 = localized_state(n, 0)
+    times = np.linspace(0.0, 1.0, 4)
+    tracemalloc.start()
+    try:
+        circulant_amplitudes(spec, 0.4, CouplingSeries.exp(), psi0, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
