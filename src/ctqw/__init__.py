@@ -42,6 +42,7 @@ from .operators import (
 from .spectral import (
     circulant_ah_spectrum,
     circulant_amplitudes,
+    circulant_column,
     circulant_evolution,
     circulant_hamiltonian_spectrum,
     fourier_basis,

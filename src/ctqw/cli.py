@@ -46,12 +46,16 @@ LOG_FLOOR = 1e-12
 LOG_SPAN = 12.0
 
 
+class ConfigError(ValueError):
+    """A malformed config; exits 1, also when raised inside a verify check."""
+
+
 def _check_keys(cfg: dict, allowed, context: str) -> None:
     if not isinstance(cfg, dict):
-        raise ValueError(f"{context}: expected an object")
+        raise ConfigError(f"{context}: expected an object")
     unknown = sorted(set(cfg) - set(allowed))
     if unknown:
-        raise ValueError(f"{context}: unknown keys {unknown}")
+        raise ConfigError(f"{context}: unknown keys {unknown}")
 
 
 def _load_config(path) -> dict:
@@ -59,9 +63,9 @@ def _load_config(path) -> dict:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: top-level config must be an object")
+        raise ConfigError(f"{path}: top-level config must be an object")
     return cfg
 
 
@@ -69,13 +73,13 @@ def _config_int(cfg, key: str, context: str, default: int | None = None) -> int:
     """Read an integer field; integral floats pass, bools and fractions do not."""
     if key not in cfg:
         if default is None:
-            raise ValueError(f"{context}: missing '{key}'")
+            raise ConfigError(f"{context}: missing '{key}'")
         return default
     value = cfg[key]
     if isinstance(value, bool) or not (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
-        raise ValueError(f"{context}: '{key}' must be an integer, got {value!r}")
+        raise ConfigError(f"{context}: '{key}' must be an integer, got {value!r}")
     return int(value)
 
 
@@ -85,7 +89,7 @@ def _build_graph(cfg, context: str = "graph"):
     family = cfg.get("family")
     directed = cfg.get("directed", True)
     if not isinstance(directed, bool):
-        raise ValueError(f"{context}: 'directed' must be a boolean")
+        raise ConfigError(f"{context}: 'directed' must be a boolean")
     if family == "star":
         return build_star(_config_int(cfg, "size", context), directed)
     if family == "ring":
@@ -95,13 +99,13 @@ def _build_graph(cfg, context: str = "graph"):
     if family == "circulant":
         coeffs = cfg.get("coefficients")
         if not isinstance(coeffs, list):
-            raise ValueError(f"{context}: circulant family needs a 'coefficients' list")
+            raise ConfigError(f"{context}: circulant family needs a 'coefficients' list")
         return CirculantSpec(tuple(float(c) for c in coeffs))
     if family == "edge-list":
         if "path" not in cfg:
-            raise ValueError(f"{context}: edge-list family needs a 'path'")
+            raise ConfigError(f"{context}: edge-list family needs a 'path'")
         return read_edge_list(cfg["path"])
-    raise ValueError(
+    raise ConfigError(
         f"{context}: unknown family {family!r}; expected star, ring, moebius, "
         "circulant, or edge-list"
     )
@@ -127,13 +131,13 @@ def _build_series(cfg) -> CouplingSeries:
     if kind == "polynomial":
         coeffs = cfg.get("coefficients")
         if not isinstance(coeffs, list):
-            raise ValueError("coupling: polynomial kind needs a 'coefficients' list")
+            raise ConfigError("coupling: polynomial kind needs a 'coefficients' list")
         return CouplingSeries.polynomial(coeffs)
     if "coefficients" in cfg:
-        raise ValueError(f"coupling: kind {kind!r} takes no coefficients")
+        raise ConfigError(f"coupling: kind {kind!r} takes no coefficients")
     if kind in ("exp", "sinh", "cosh", "identity"):
         return CouplingSeries(kind)
-    raise ValueError(f"coupling: unknown kind {kind!r}")
+    raise ConfigError(f"coupling: unknown kind {kind!r}")
 
 
 def _build_grid(cfg) -> TimeGrid:
@@ -149,11 +153,11 @@ def _build_grid(cfg) -> TimeGrid:
 
 def _parse_alphas(cfg) -> list[float]:
     if "alphas" not in cfg:
-        raise ValueError("config: missing 'alphas'")
+        raise ConfigError("config: missing 'alphas'")
     raw = cfg["alphas"]
     tokens = raw if isinstance(raw, list) else [raw]
     if not tokens:
-        raise ValueError("config: 'alphas' must not be empty")
+        raise ConfigError("config: 'alphas' must not be empty")
     return [parse_phase(tok) for tok in tokens]
 
 
@@ -228,10 +232,10 @@ def cmd_simulate(args) -> int:
         cfg, {"graph", "coupling", "alphas", "time_grid", "initial_node", "output"}, "config"
     )
     if "graph" not in cfg:
-        raise ValueError("config: missing 'graph'")
+        raise ConfigError("config: missing 'graph'")
     alphas = _parse_alphas(cfg)
     if len(alphas) != 1:
-        raise ValueError(f"simulate needs exactly one alpha, got {len(alphas)}")
+        raise ConfigError(f"simulate needs exactly one alpha, got {len(alphas)}")
     graph = _build_graph(cfg["graph"])
     series = _build_series(cfg.get("coupling"))
     grid = _build_grid(cfg.get("time_grid"))
@@ -249,7 +253,7 @@ def cmd_sweep(args) -> int:
         cfg, {"graph", "coupling", "alphas", "time_grid", "initial_node", "output"}, "config"
     )
     if "graph" not in cfg:
-        raise ValueError("config: missing 'graph'")
+        raise ConfigError("config: missing 'graph'")
     alphas = _parse_alphas(cfg)
     graph = _build_graph(cfg["graph"])
     series = _build_series(cfg.get("coupling"))
@@ -322,7 +326,7 @@ def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
     )
     prop = check_cfg.get("property")
     if prop not in _CHECK_TOLERANCES:
-        raise ValueError(
+        raise ConfigError(
             f"check: unknown property {prop!r}; expected one of {sorted(_CHECK_TOLERANCES)}"
         )
     series = _build_series(check_cfg.get("coupling"))
@@ -354,7 +358,7 @@ def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
             reports.append(check_transport_suppression(graph, poly, grid, None, label))
     elif prop == "mirror":
         if "graph" not in check_cfg or "deltas" not in check_cfg:
-            raise ValueError("mirror check needs 'graph' and 'deltas'")
+            raise ConfigError("mirror check needs 'graph' and 'deltas'")
         graph = _build_graph(check_cfg["graph"])
         deltas = [parse_phase(d) for d in check_cfg["deltas"]]
         reports.append(
@@ -370,7 +374,7 @@ def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
         )
     elif prop == "stationary":
         if "graph" not in check_cfg:
-            raise ValueError("stationary check needs 'graph'")
+            raise ConfigError("stationary check needs 'graph'")
         graph = _build_graph(check_cfg["graph"])
         reports.append(
             check_stationary_at_half_pi(
@@ -379,7 +383,7 @@ def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
         )
     else:
         if "graph" not in check_cfg or "graph_b" not in check_cfg:
-            raise ValueError("cancellation check needs 'graph' and 'graph_b'")
+            raise ConfigError("cancellation check needs 'graph' and 'graph_b'")
         first = _build_graph(check_cfg["graph"])
         second = _build_graph(check_cfg["graph_b"], "graph_b")
         label = f"{_graph_label(check_cfg['graph'])}|{_graph_label(check_cfg['graph_b'])}"
@@ -394,7 +398,7 @@ def cmd_verify(args) -> int:
     _check_keys(cfg, {"checks", "report", "time_grid"}, "config")
     checks = cfg.get("checks")
     if not isinstance(checks, list) or not checks:
-        raise ValueError("config: 'checks' must be a nonempty list")
+        raise ConfigError("config: 'checks' must be a nonempty list")
     grid = _build_grid(cfg.get("time_grid"))
     lines = ["property,instance,deviation,tolerance,verdict"]
     all_ok = True
@@ -404,6 +408,8 @@ def cmd_verify(args) -> int:
             for report in _run_check(check_cfg, grid, args.seed):
                 lines.append(report.line())
                 all_ok = all_ok and report.passed
+        except ConfigError:
+            raise
         except ValueError as exc:
             tol = _CHECK_TOLERANCES.get(prop, float("nan"))
             reason = str(exc).replace(",", ";")

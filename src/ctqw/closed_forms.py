@@ -13,7 +13,7 @@ import numpy as np
 
 from .graphs import CirculantSpec
 from .operators import CouplingSeries, HermitianOperator
-from .spectral import circulant_hamiltonian_spectrum
+from .spectral import circulant_column, circulant_hamiltonian_spectrum
 
 
 @dataclass(frozen=True)
@@ -174,13 +174,13 @@ def half_pi_spectrum_shift(
     d_plus = circulant_hamiltonian_spectrum(c, a_plus, series)
     d_minus = circulant_hamiltonian_spectrum(c, a_minus, series)
     dev_spec = float(np.max(np.abs(d_plus - np.roll(d_minus, -(n // 2)))))
-    # H and U are circulant, X[i, j] = x[(i - j) % n] with first column
-    # x = ifft(spectrum), and (-1)^(i+j) = (-1)^(i-j) for even n, so each sign
-    # conjugation reduces to x_plus[k] = (-1)^k x_minus[k].
+    # H and U are circulant, X[i, j] = x[(i - j) % n] with x the first column,
+    # and (-1)^(i+j) = (-1)^(i-j) for even n, so each sign conjugation reduces
+    # to x_plus[k] = (-1)^k x_minus[k].
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    h_plus, h_minus = np.fft.ifft(d_plus), np.fft.ifft(d_minus)
+    h_plus, h_minus = circulant_column(d_plus), circulant_column(d_minus)
     dev_h = float(np.max(np.abs(h_plus - signs * h_minus)))
-    u_plus = np.fft.ifft(np.exp(-1j * d_plus * t))
-    u_minus = np.fft.ifft(np.exp(-1j * d_minus * t))
+    u_plus = circulant_column(np.exp(-1j * d_plus * t))
+    u_minus = circulant_column(np.exp(-1j * d_minus * t))
     dev_u = float(np.max(np.abs(u_plus - signs * u_minus)))
     return ShiftReport(float(delta), float(t), dev_spec, dev_h, dev_u)

@@ -54,16 +54,24 @@ def circulant_hamiltonian_spectrum(
     return series.scalar(_spectrum(f, alpha)) + series.scalar(_spectrum(f, -alpha))
 
 
+def circulant_column(spectrum: np.ndarray) -> np.ndarray:
+    """First column of the circulant with eigenvalues ``spectrum`` (Fourier mode order).
+
+    A circulant X = S diag(spectrum) S^H has X[i, j] = x[(i - j) % N] with
+    x = ifft(spectrum).  A 2-D ``spectrum`` is transformed row by row.
+    """
+    return np.fft.ifft(spectrum, axis=-1)
+
+
 def circulant_evolution(
     c: CirculantSpec, alpha: float, series: CouplingSeries, t: float
 ) -> np.ndarray:
     """Propagator U(t) = S exp(-i D t) S^H of the circulant walk Hamiltonian.
 
-    U is circulant with first column u = ifft(exp(-i D t)), so
-    U[i, j] = u[(i - j) % N].
+    U is circulant, U[i, j] = u[(i - j) % N] with u its first column.
     """
     d = circulant_hamiltonian_spectrum(c, alpha, series)
-    u = np.fft.ifft(np.exp(-1j * d * t))
+    u = circulant_column(np.exp(-1j * d * t))
     k = np.arange(c.n)
     return u[np.subtract.outer(k, k) % c.n]
 
@@ -77,9 +85,11 @@ def circulant_amplitudes(
 ) -> np.ndarray:
     """Amplitudes of exp(-iHt) psi0 on a whole time grid, shape (T, N).
 
-    One FFT of psi0 serves every grid point; each chunk of TIME_CHUNK time
-    rows takes one batched inverse FFT, so the cost is O(T N log N) time and
-    O(N * TIME_CHUNK) scratch memory beyond the (T, N) result.
+    One FFT of psi0 serves every grid point: U(t) psi0 is the first column of
+    the circulant with spectrum exp(-i D t) fft(psi0).  Each chunk of
+    TIME_CHUNK time rows takes one batched inverse FFT, so the cost is
+    O(T N log N) time and O(N * TIME_CHUNK) scratch memory beyond the (T, N)
+    result.
     """
     d = circulant_hamiltonian_spectrum(c, alpha, series)
     phi = np.fft.fft(np.asarray(psi0, dtype=complex))
@@ -88,5 +98,5 @@ def circulant_amplitudes(
     for start in range(0, times.size, TIME_CHUNK):
         rows = amps[start : start + TIME_CHUNK]
         phases = np.exp(-1j * np.outer(times[start : start + TIME_CHUNK], d))
-        np.fft.ifft(phases * phi, axis=1, out=rows)
+        rows[...] = circulant_column(phases * phi)
     return amps

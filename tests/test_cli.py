@@ -199,6 +199,39 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
     assert "rejected" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        {"property": "suppression-random", "count": 2.5},
+        {"property": "suppression-random", "max_nodes": True},
+        {"property": "suppression-random", "max_degree": "3"},
+        {"property": "stationary", "graph": {"family": "ring", "size": 6}, "initial_node": 0.5},
+        {"property": "suppression", "graph": {"family": "ring", "size": 6.7}},
+        {"property": "suppression", "graph": {"family": "ring", "size": 6}, "bogus": 1},
+        {"property": "nope"},
+        {"property": "stationary"},
+    ],
+    ids=[
+        "fractional-count",
+        "bool-max-nodes",
+        "string-max-degree",
+        "fractional-initial-node",
+        "fractional-size",
+        "unknown-key",
+        "unknown-property",
+        "missing-graph",
+    ],
+)
+def test_verify_config_errors_exit_one(tmp_path, capsys, check):
+    # A malformed check is a config error, not an ineligible instance: no
+    # report line, exit 1.
+    cfg = {"checks": [{"property": "suppression"}, check]}
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "rejected" not in captured.out
+    assert "error:" in captured.err
+
+
 def test_verify_explicit_partition_on_non_bipartite_graph(tmp_path):
     cfg = {
         "checks": [

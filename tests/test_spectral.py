@@ -14,6 +14,7 @@ from ctqw import (
     assemble_hamiltonian,
     circulant_ah_spectrum,
     circulant_amplitudes,
+    circulant_column,
     circulant_evolution,
     circulant_hamiltonian_spectrum,
     fourier_basis,
@@ -189,6 +190,20 @@ def test_evolution_matches_dense_fourier_oracle(n):
     assert np.max(np.abs(u - _dense_propagator(spec, -1.1, series, 2.3))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 97])
+def test_circulant_column_is_first_column_of_dense_circulant(n):
+    rng = np.random.default_rng(n)
+    spectra = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    s = fourier_basis(n)
+    columns = circulant_column(spectra)
+    assert columns.shape == (3, n)
+    k = np.arange(n)
+    for spectrum, column in zip(spectra, columns):
+        dense = (s * spectrum) @ s.conj().T
+        assert np.max(np.abs(dense[:, 0] - column)) < 1e-12
+        assert np.max(np.abs(dense - column[np.subtract.outer(k, k) % n])) < 1e-12
+
+
 def test_amplitudes_empty_grid():
     amps = circulant_amplitudes(ring_spec(5), 0.3, CouplingSeries.exp(), localized_state(5, 0), [])
     assert amps.shape == (0, 5)
@@ -207,3 +222,21 @@ def test_amplitudes_scratch_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_amplitudes_scratch_memory_is_bounded_by_the_chunk():
+    # Over 16 chunks the scratch beyond the (T, N) result stays a few
+    # chunk-sized buffers; one batched (T, N) transform would need several
+    # result-sized ones (32 MiB each here).
+    n = 2048
+    times = np.linspace(0.0, 5.0, 16 * TIME_CHUNK)
+    chunk_bytes = TIME_CHUNK * n * 16
+    tracemalloc.start()
+    try:
+        amps = circulant_amplitudes(
+            ring_spec(n), 0.4, CouplingSeries.exp(), localized_state(n, 0), times
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - amps.nbytes < 6 * chunk_bytes
