@@ -37,6 +37,7 @@ from .operators import (
     hermitian_eigendecomposition,
     load_operator,
     parse_phase,
+    propagate,
     reduce_phase,
 )
 from .spectral import (
@@ -55,6 +56,7 @@ from .walk import (
     arrival_time,
     evolve,
     localized_state,
+    propagator,
     read_walk_csv,
     run_walk,
     sweep_alpha,

@@ -38,7 +38,6 @@ from .walk import (
     TimeGrid,
     read_walk_csv,
     run_walk,
-    sweep_alpha,
     write_walk_csv,
 )
 
@@ -83,6 +82,16 @@ def _config_int(cfg, key: str, context: str, default: int | None = None) -> int:
     return int(value)
 
 
+def _config_number(value, what: str) -> float:
+    """Read a real number; ints and finite floats pass, bools, strings, inf and nan do not."""
+    # the bound also rejects nan, and ints too large for a float
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _build_graph(cfg, context: str = "graph"):
     """Build a DirectedGraph or CirculantSpec from a config object."""
     _check_keys(cfg, {"family", "size", "directed", "coefficients", "path"}, context)
@@ -100,7 +109,9 @@ def _build_graph(cfg, context: str = "graph"):
         coeffs = cfg.get("coefficients")
         if not isinstance(coeffs, list):
             raise ConfigError(f"{context}: circulant family needs a 'coefficients' list")
-        return CirculantSpec(tuple(float(c) for c in coeffs))
+        return CirculantSpec(
+            tuple(_config_number(c, f"{context}: 'coefficients' entry") for c in coeffs)
+        )
     if family == "edge-list":
         if "path" not in cfg:
             raise ConfigError(f"{context}: edge-list family needs a 'path'")
@@ -132,7 +143,9 @@ def _build_series(cfg) -> CouplingSeries:
         coeffs = cfg.get("coefficients")
         if not isinstance(coeffs, list):
             raise ConfigError("coupling: polynomial kind needs a 'coefficients' list")
-        return CouplingSeries.polynomial(coeffs)
+        return CouplingSeries.polynomial(
+            [_config_number(c, "coupling: 'coefficients' entry") for c in coeffs]
+        )
     if "coefficients" in cfg:
         raise ConfigError(f"coupling: kind {kind!r} takes no coefficients")
     if kind in ("exp", "sinh", "cosh", "identity"):
@@ -145,8 +158,8 @@ def _build_grid(cfg) -> TimeGrid:
         return DEFAULT_TIME_GRID
     _check_keys(cfg, {"start", "end", "steps"}, "time_grid")
     return TimeGrid(
-        float(cfg.get("start", DEFAULT_TIME_GRID.t_start)),
-        float(cfg.get("end", DEFAULT_TIME_GRID.t_end)),
+        _config_number(cfg.get("start", DEFAULT_TIME_GRID.t_start), "time_grid: 'start'"),
+        _config_number(cfg.get("end", DEFAULT_TIME_GRID.t_end), "time_grid: 'end'"),
         _config_int(cfg, "steps", "time_grid", DEFAULT_TIME_GRID.steps),
     )
 
@@ -209,24 +222,13 @@ def _out_path(out_dir: str, name: str) -> str:
     return path
 
 
-def _write_artifacts(result, output_cfg, out_dir, header) -> None:
-    _check_keys(output_cfg, {"csv", "heatmap", "scale", "amplitudes"}, "output")
-    csv_name = output_cfg.get("csv", "walk.csv")
-    include_amps = bool(output_cfg.get("amplitudes", False))
-    write_walk_csv(result, _out_path(out_dir, csv_name), include_amps, header)
-    if "heatmap" in output_cfg:
-        scale = output_cfg.get("scale", "linear")
-        write_heatmap_pgm(
-            result.probabilities, _out_path(out_dir, output_cfg["heatmap"]), scale, header
-        )
-
-
 def _suffixed(name: str, index: int) -> str:
     stem, ext = os.path.splitext(name)
     return f"{stem}_{index:02d}{ext}"
 
 
-def cmd_simulate(args) -> int:
+def cmd_walk(args) -> int:
+    """``simulate`` (exactly one alpha) and ``sweep`` (one walk per alpha, suffixed artifacts)."""
     cfg = _load_config(args.config)
     _check_keys(
         cfg, {"graph", "coupling", "alphas", "time_grid", "initial_node", "output"}, "config"
@@ -234,47 +236,33 @@ def cmd_simulate(args) -> int:
     if "graph" not in cfg:
         raise ConfigError("config: missing 'graph'")
     alphas = _parse_alphas(cfg)
-    if len(alphas) != 1:
+    sweep = args.command == "sweep"
+    if not sweep and len(alphas) != 1:
         raise ConfigError(f"simulate needs exactly one alpha, got {len(alphas)}")
     graph = _build_graph(cfg["graph"])
     series = _build_series(cfg.get("coupling"))
     grid = _build_grid(cfg.get("time_grid"))
     initial = _config_int(cfg, "initial_node", "config", 0)
-    result = run_walk(graph, alphas[0], series, initial, grid, _graph_label(cfg["graph"]))
-    header = _header_lines(cfg, args.seed, "simulate", [f"alpha: {alphas[0]:.17g}"])
-    _write_artifacts(result, cfg.get("output", {}), args.out_dir, header)
-    print(f"normalization defect: {result.normalization_defect:.3e}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg, {"graph", "coupling", "alphas", "time_grid", "initial_node", "output"}, "config"
-    )
-    if "graph" not in cfg:
-        raise ConfigError("config: missing 'graph'")
-    alphas = _parse_alphas(cfg)
-    graph = _build_graph(cfg["graph"])
-    series = _build_series(cfg.get("coupling"))
-    grid = _build_grid(cfg.get("time_grid"))
-    initial = _config_int(cfg, "initial_node", "config", 0)
-    results = sweep_alpha(graph, alphas, series, initial, grid, threads=args.threads)
-    output_cfg = dict(cfg.get("output", {}))
-    _check_keys(output_cfg, {"csv", "heatmap", "scale", "amplitudes"}, "output")
+    output = cfg.get("output", {})
+    _check_keys(output, {"csv", "heatmap", "scale", "amplitudes"}, "output")
+    include_amps, scale = bool(output.get("amplitudes", False)), output.get("scale", "linear")
+    results = [run_walk(graph, alpha, series, initial, grid) for alpha in alphas]
     for index, result in enumerate(results):
-        per = dict(output_cfg)
-        per["csv"] = _suffixed(output_cfg.get("csv", "walk.csv"), index)
-        if "heatmap" in per:
-            per["heatmap"] = _suffixed(per["heatmap"], index)
-        header = _header_lines(
-            cfg,
-            args.seed,
-            "sweep",
-            [f"alpha-index: {index}", f"alpha: {result.alpha:.17g}"],
-        )
-        _write_artifacts(result, per, args.out_dir, header)
-        print(f"alpha={result.alpha:.6g}: normalization defect {result.normalization_defect:.3e}")
+        csv_name, pgm_name = output.get("csv", "walk.csv"), output.get("heatmap")
+        extra = [f"alpha: {result.alpha:.17g}"]
+        defect = result.normalization_defect
+        summary = f"normalization defect: {defect:.3e}"
+        if sweep:
+            csv_name = _suffixed(csv_name, index)
+            pgm_name = pgm_name and _suffixed(pgm_name, index)
+            extra.insert(0, f"alpha-index: {index}")
+            summary = f"alpha={result.alpha:.6g}: normalization defect {defect:.3e}"
+        header = _header_lines(cfg, args.seed, args.command, extra)
+        write_walk_csv(result, _out_path(args.out_dir, csv_name), include_amps, header)
+        if pgm_name is not None:
+            pgm_path = _out_path(args.out_dir, pgm_name)
+            write_heatmap_pgm(result.probabilities, pgm_path, scale, header)
+        print(summary)
     return 0
 
 
@@ -296,7 +284,7 @@ _CHECK_TOLERANCES = {
 def _tightened(report: PropertyReport, check_cfg) -> PropertyReport:
     if "tolerance" not in check_cfg:
         return report
-    tol = float(check_cfg["tolerance"])
+    tol = _config_number(check_cfg["tolerance"], "check: 'tolerance'")
     if not (0.0 <= tol <= report.tolerance):
         raise ValueError(
             f"tolerance may only tighten the default {report.tolerance:g}, got {tol:g}"
@@ -445,23 +433,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, func, help_text in (
+        ("simulate", cmd_walk, "run one walk and write artifacts"),
+        ("sweep", cmd_walk, "run one walk per phase value"),
+        ("verify", cmd_verify, "certify walk properties"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out-dir", default=".", help="directory for artifacts")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-
-    p_sim = sub.add_parser("simulate", help="run one walk and write artifacts")
-    add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="run one walk per phase value")
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="certify walk properties")
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+        p.set_defaults(func=func)
 
     p_render = sub.add_parser("render", help="render a walk CSV as a PGM heatmap")
     p_render.add_argument("--csv", required=True, help="walk CSV produced by simulate/sweep")

@@ -22,6 +22,9 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 
+# Time rows moved back from the eigenbasis per call of ``to_nodes`` in ``propagate``.
+TIME_CHUNK = 64
+
 _SERIES_KINDS = ("polynomial", "exp", "sinh", "cosh", "identity")
 
 _PI_TOKEN = re.compile(
@@ -76,16 +79,17 @@ def reduce_phase(alpha: float) -> float:
 
 @dataclass(eq=False, frozen=True)
 class HermitianOperator:
-    """A square complex matrix certified and stored as exactly Hermitian.
+    """A square matrix certified and stored as exactly Hermitian.
 
     Construction rejects matrices whose Hermiticity defect max|M - M^H|
-    exceeds ``HERMITICITY_TOL`` and stores the hermitized (M + M^H)/2.
+    exceeds ``HERMITICITY_TOL`` and stores the hermitized (M + M^H)/2:
+    complex input as complex128, real input as float64 (real symmetric).
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be square, got shape {m.shape}")
         defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -188,6 +192,22 @@ class EigenSystem:
     vectors: np.ndarray
 
 
+def propagate(values, phi, times, to_nodes) -> np.ndarray:
+    """Amplitudes of exp(-iHt) psi0 on a whole time grid, shape (T, N).
+
+    ``values`` are the eigenvalues of H, ``phi`` is psi0 in its eigenbasis,
+    and ``to_nodes`` maps a block of eigenbasis rows back to node rows.  The
+    grid is walked in chunks of TIME_CHUNK rows, so the scratch memory beyond
+    the (T, N) result is O(N * TIME_CHUNK).
+    """
+    times = np.asarray(times, dtype=float)
+    amps = np.empty((times.size, phi.shape[0]), dtype=complex)
+    for start in range(0, times.size, TIME_CHUNK):
+        chunk = slice(start, start + TIME_CHUNK)
+        amps[chunk] = to_nodes(np.exp(-1j * np.outer(times[chunk], values)) * phi)
+    return amps
+
+
 def hermitian_eigendecomposition(op: HermitianOperator) -> EigenSystem:
     """Full eigendecomposition of a Hermitian operator (ascending order)."""
     try:
@@ -212,15 +232,13 @@ def apply_coupling(series: CouplingSeries, op: HermitianOperator) -> HermitianOp
 
 
 def assemble_hamiltonian(g, alpha: float, series: CouplingSeries) -> HermitianOperator:
-    """Walk Hamiltonian H = J(A_H(alpha)) + J(A_H(alpha))^T.
+    """Walk Hamiltonian H = J(A_H(alpha)) + J(A_H(alpha))^T, stored as float64.
 
-    J(A_H) is Hermitian, so its plain transpose is its conjugate and the sum
-    is real symmetric; the imaginary roundoff is projected out.
+    J(A_H) is stored exactly Hermitian, so its plain transpose is its
+    conjugate and the sum is exactly 2 Re J(A_H), a real symmetric matrix.
     """
     j = apply_coupling(series, hermitian_adjacency(g, alpha))
-    h = j.matrix + j.matrix.T
-    certified = HermitianOperator(h)
-    return HermitianOperator(certified.matrix.real)
+    return HermitianOperator(2.0 * j.matrix.real)
 
 
 def dump_operator(op: HermitianOperator, path) -> None:

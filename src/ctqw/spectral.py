@@ -23,10 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import CirculantSpec
-from .operators import CouplingSeries
-
-# Time rows propagated per inverse FFT in ``circulant_amplitudes``.
-TIME_CHUNK = 64
+from .operators import TIME_CHUNK, CouplingSeries, propagate  # noqa: F401 (re-exports TIME_CHUNK)
 
 
 def fourier_basis(n: int) -> np.ndarray:
@@ -86,17 +83,11 @@ def circulant_amplitudes(
     """Amplitudes of exp(-iHt) psi0 on a whole time grid, shape (T, N).
 
     One FFT of psi0 serves every grid point: U(t) psi0 is the first column of
-    the circulant with spectrum exp(-i D t) fft(psi0).  Each chunk of
-    TIME_CHUNK time rows takes one batched inverse FFT, so the cost is
+    the circulant with spectrum exp(-i D t) fft(psi0).  ``propagate`` takes
+    one batched inverse FFT per chunk of TIME_CHUNK time rows, so the cost is
     O(T N log N) time and O(N * TIME_CHUNK) scratch memory beyond the (T, N)
     result.
     """
     d = circulant_hamiltonian_spectrum(c, alpha, series)
     phi = np.fft.fft(np.asarray(psi0, dtype=complex))
-    times = np.asarray(times, dtype=float)
-    amps = np.empty((times.size, c.n), dtype=complex)
-    for start in range(0, times.size, TIME_CHUNK):
-        rows = amps[start : start + TIME_CHUNK]
-        phases = np.exp(-1j * np.outer(times[start : start + TIME_CHUNK], d))
-        rows[...] = circulant_column(phases * phi)
-    return amps
+    return propagate(d, phi, times, circulant_column)

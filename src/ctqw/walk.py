@@ -1,13 +1,13 @@
 """Schroedinger evolution of walk states and result containers.
 
-Probabilities are P(i, t) = |<i| exp(-iHt) |psi0>|^2.  Circulant specs take
-the Fourier fast path; plain directed graphs are evolved through one dense
-eigendecomposition per walk.
+Probabilities are P(i, t) = |<i| exp(-iHt) |psi0>|^2.  Both engines move psi0
+into an eigenbasis, apply exp(-iwt) and move back through ``propagate``:
+circulant specs use the Fourier basis, plain directed graphs one dense
+eigendecomposition per (graph, alpha, series).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,9 +15,11 @@ import numpy as np
 from .graphs import CirculantSpec, DirectedGraph
 from .operators import (
     CouplingSeries,
+    EigenSystem,
     HermitianOperator,
     assemble_hamiltonian,
     hermitian_eigendecomposition,
+    propagate,
 )
 from .spectral import circulant_amplitudes
 
@@ -120,12 +122,15 @@ class WalkResult:
         return float(np.max(np.abs(self.probabilities.sum(axis=1) - 1.0)))
 
 
+def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, times) -> np.ndarray:
+    v = es.vectors
+    return propagate(es.values, v.conj().T @ psi0, times, lambda rows: rows @ v.T)
+
+
 def evolve(h: HermitianOperator, psi0: np.ndarray, t: float) -> np.ndarray:
     """Amplitudes exp(-iHt) psi0 for a single time."""
     psi0 = validate_state(psi0, h.n)
-    es = hermitian_eigendecomposition(h)
-    phi = es.vectors.conj().T @ psi0
-    return es.vectors @ (np.exp(-1j * es.values * t) * phi)
+    return _dense_amplitudes(hermitian_eigendecomposition(h), psi0, [t])[0]
 
 
 def _as_state(initial, n: int) -> np.ndarray:
@@ -140,6 +145,21 @@ def _label(graph_or_spec) -> str:
     return f"graph(n={graph_or_spec.n}, edges={len(graph_or_spec.edges)})"
 
 
+def propagator(graph_or_spec, alpha: float, series: CouplingSeries):
+    """Walk amplitudes for one (graph, alpha, series) as ``(psi0, times) -> (T, N)``.
+
+    A directed graph's Hamiltonian is diagonalized once, here, for every
+    later call; a circulant spec's Fourier spectrum costs one length-N FFT
+    per call.  ``psi0`` must be a normalized state of the right size.
+    """
+    if isinstance(graph_or_spec, CirculantSpec):
+        return lambda psi0, times: circulant_amplitudes(graph_or_spec, alpha, series, psi0, times)
+    if isinstance(graph_or_spec, DirectedGraph):
+        es = hermitian_eigendecomposition(assemble_hamiltonian(graph_or_spec, alpha, series))
+        return lambda psi0, times: _dense_amplitudes(es, psi0, times)
+    raise TypeError(f"expected DirectedGraph or CirculantSpec, got {type(graph_or_spec)!r}")
+
+
 def run_walk(
     graph_or_spec,
     alpha: float,
@@ -152,20 +172,10 @@ def run_walk(
 
     ``initial`` is a node index or a normalized state vector.
     """
+    amplitudes = propagator(graph_or_spec, alpha, series)
+    psi0 = _as_state(initial, graph_or_spec.n)
     times = grid.times()
-    if isinstance(graph_or_spec, CirculantSpec):
-        psi0 = _as_state(initial, graph_or_spec.n)
-        amps = circulant_amplitudes(graph_or_spec, alpha, series, psi0, times)
-    elif isinstance(graph_or_spec, DirectedGraph):
-        psi0 = _as_state(initial, graph_or_spec.n)
-        h = assemble_hamiltonian(graph_or_spec, alpha, series)
-        es = hermitian_eigendecomposition(h)
-        phi = es.vectors.conj().T @ psi0
-        phases = np.exp(-1j * np.outer(es.values, times))
-        amps = (es.vectors @ (phases * phi[:, None])).T
-    else:
-        raise TypeError(f"expected DirectedGraph or CirculantSpec, got {type(graph_or_spec)!r}")
-    return WalkResult(label or _label(graph_or_spec), float(alpha), times, amps)
+    return WalkResult(label or _label(graph_or_spec), float(alpha), times, amplitudes(psi0, times))
 
 
 def sweep_alpha(
@@ -174,21 +184,12 @@ def sweep_alpha(
     series: CouplingSeries,
     initial,
     grid: TimeGrid = DEFAULT_TIME_GRID,
-    threads: int = 1,
 ) -> list[WalkResult]:
-    """Run one walk per phase value, optionally across a thread pool."""
+    """Run one walk per phase value."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("sweep needs at least one phase value")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if threads == 1 or len(alphas) == 1:
-        return [run_walk(graph_or_spec, a, series, initial, grid) for a in alphas]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(run_walk, graph_or_spec, a, series, initial, grid) for a in alphas
-        ]
-        return [f.result() for f in futures]
+    return [run_walk(graph_or_spec, a, series, initial, grid) for a in alphas]
 
 
 def arrival_time(

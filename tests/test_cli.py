@@ -127,6 +127,43 @@ def test_non_integer_config_fields_exit_one(tmp_path, capsys, overrides):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {
+            "graph": {"family": "circulant", "coefficients": [0, True, "0", 0]},
+            "time_grid": {"start": True, "end": "2"},
+        },
+        {"graph": {"family": "circulant", "coefficients": [0, True, 0, 0]}},
+        {"graph": {"family": "circulant", "coefficients": [0, 1, "0", 0]}},
+        {"graph": {"family": "circulant", "coefficients": [0, 1, float("nan"), 0]}},
+        {"coupling": {"kind": "polynomial", "coefficients": [0, "1"]}},
+        {"coupling": {"kind": "polynomial", "coefficients": [False, 1]}},
+        {"time_grid": {"start": True, "end": 2.0, "steps": 10}},
+        {"time_grid": {"start": 0.0, "end": "2", "steps": 10}},
+        {"time_grid": {"start": 0.0, "end": float("inf"), "steps": 10}},
+        {"time_grid": {"start": 0.0, "end": 10**400, "steps": 10}},
+    ],
+    ids=[
+        "reported-config",
+        "bool-circulant-coefficient",
+        "string-circulant-coefficient",
+        "nan-circulant-coefficient",
+        "string-polynomial-coefficient",
+        "bool-polynomial-coefficient",
+        "bool-start",
+        "string-end",
+        "infinite-end",
+        "huge-int-end",
+    ],
+)
+def test_non_numeric_config_fields_exit_one(tmp_path, capsys, overrides):
+    cfg = simulate_cfg(**overrides)
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out-dir", str(tmp_path)]) == 1
+    assert "must be a finite number" in capsys.readouterr().err
+
+
 def test_integral_float_config_fields_accepted(tmp_path):
     cfg = simulate_cfg(
         graph={"family": "ring", "size": 6.0},
@@ -153,17 +190,7 @@ def test_simulate_edge_list_family(tmp_path):
 
 def test_sweep_writes_suffixed_files(tmp_path, capsys):
     cfg = simulate_cfg(alphas=["0", "pi/4", "pi/2"], output={"csv": "scan.csv"})
-    code = main(
-        [
-            "sweep",
-            "--config",
-            write_config(tmp_path, cfg),
-            "--out-dir",
-            str(tmp_path),
-            "--threads",
-            "2",
-        ]
-    )
+    code = main(["sweep", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
     assert code == 0
     assert capsys.readouterr().out.count("normalization defect") == 3
     for index, alpha in enumerate((0.0, math.pi / 4, math.pi / 2)):
@@ -174,6 +201,38 @@ def test_sweep_writes_suffixed_files(tmp_path, capsys):
         )
         assert np.array_equal(probs, oracle.probabilities)
         assert f"# alpha-index: {index}" in path.read_text()
+
+
+def test_simulate_is_the_one_alpha_sweep(tmp_path, capsys):
+    output = {"csv": "walk.csv", "heatmap": "walk.pgm", "scale": "log"}
+    cfg = simulate_cfg(alphas=["pi/4"], output=output)
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out-dir", str(tmp_path)]) == 0
+    simulate_out = capsys.readouterr().out
+    assert main(["sweep", "--config", path, "--out-dir", str(tmp_path)]) == 0
+    sweep_out = capsys.readouterr().out
+    defect = simulate_out.split(": ")[1]
+    assert simulate_out == f"normalization defect: {defect}"
+    assert sweep_out == f"alpha={math.pi / 4:.6g}: normalization defect {defect}"
+    config_line = "# config: " + json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    for single, suffixed in (("walk.csv", "walk_00.csv"), ("walk.pgm", "walk_00.pgm")):
+        single_lines = (tmp_path / single).read_text().splitlines()
+        sweep_lines = (tmp_path / suffixed).read_text().splitlines()
+        data = [l for l in single_lines if not l.startswith("#")]
+        assert data == [l for l in sweep_lines if not l.startswith("#")]
+        assert [l for l in single_lines if l.startswith("#")] == [
+            "# generated-by: ctqw simulate",
+            config_line,
+            "# seed: none",
+            f"# alpha: {math.pi / 4:.17g}",
+        ]
+        assert [l for l in sweep_lines if l.startswith("#")] == [
+            "# generated-by: ctqw sweep",
+            config_line,
+            "# seed: none",
+            "# alpha-index: 0",
+            f"# alpha: {math.pi / 4:.17g}",
+        ]
 
 
 def test_verify_default_suppression_suite(tmp_path, capsys):
@@ -210,6 +269,18 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
         {"property": "suppression", "graph": {"family": "ring", "size": 6}, "bogus": 1},
         {"property": "nope"},
         {"property": "stationary"},
+        {"property": "suppression", "graph": {"family": "ring", "size": 6}, "tolerance": "0"},
+        {"property": "suppression", "graph": {"family": "ring", "size": 6}, "tolerance": True},
+        {
+            "property": "stationary",
+            "graph": {"family": "ring", "size": 6, "directed": False},
+            "time_grid": {"start": True, "end": 2.0, "steps": 5},
+        },
+        {
+            "property": "stationary",
+            "graph": {"family": "ring", "size": 6, "directed": False},
+            "coupling": {"kind": "polynomial", "coefficients": [0, "1"]},
+        },
     ],
     ids=[
         "fractional-count",
@@ -220,6 +291,10 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
         "unknown-key",
         "unknown-property",
         "missing-graph",
+        "string-tolerance",
+        "bool-tolerance",
+        "bool-time-grid-start",
+        "string-coupling-coefficient",
     ],
 )
 def test_verify_config_errors_exit_one(tmp_path, capsys, check):
@@ -285,6 +360,17 @@ def test_verify_tolerance_may_only_tighten(tmp_path, capsys):
     )
     assert code == 2
     assert "tighten" in capsys.readouterr().out
+
+
+def test_verify_random_suppression_exhausted_draw_is_rejected(tmp_path, capsys):
+    # Seed 39 draws instance 1 as a 30/1 split of 31 nodes, connected with
+    # probability 0.75^30 per draw, and 10000 draws all miss: the check is
+    # rejected with exit 2 instead of ending in a traceback.
+    cfg = {"checks": [{"property": "suppression-random", "count": 10, "max_nodes": 32}]}
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--seed", "39"]) == 2
+    reason = "rejected: failed to draw a connected bipartite graph"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"suppression-random,{reason},nan,1e-10,rejected"]
 
 
 def test_verify_random_suppression_is_seeded(tmp_path, capsys):

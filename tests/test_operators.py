@@ -54,6 +54,9 @@ def test_hermitian_operator_contract():
     tiny = 1e-14
     op = HermitianOperator(np.array([[0.0, 1.0 + tiny * 1j], [1.0, 0.0]]))
     assert np.array_equal(op.matrix, op.matrix.conj().T)
+    assert op.matrix.dtype == np.complex128
+    # real input stays real, so eigh runs the real symmetric solver
+    assert HermitianOperator(np.array([[0, 1], [1, 0]])).matrix.dtype == np.float64
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0
 
@@ -206,7 +209,11 @@ def test_assemble_is_real_symmetric():
         alpha = rng.uniform(-math.pi, math.pi)
         h = assemble_hamiltonian(g, alpha, CouplingSeries.exp()).matrix
         assert np.max(np.abs(h.imag)) == 0.0
+        assert h.dtype == np.float64
         assert np.array_equal(h, h.T)
+        # 2 Re J is J + J^T bit for bit, because J is stored exactly Hermitian
+        j = apply_coupling(CouplingSeries.exp(), hermitian_adjacency(g, alpha)).matrix
+        assert np.array_equal(h, j + j.T)
 
 
 def test_assemble_phase_sign_invariance():
@@ -224,6 +231,9 @@ def test_operator_file_round_trip(tmp_path):
     dump_operator(op, path)
     loaded = load_operator(path)
     assert np.array_equal(loaded.matrix, op.matrix)
+    h = assemble_hamiltonian(build_star(3), 0.4, CouplingSeries.exp())
+    dump_operator(h, path)
+    assert np.array_equal(load_operator(path).matrix, h.matrix)
     path.write_text("2\n1,0 2,0\n")
     with pytest.raises(ValueError):
         load_operator(path)

@@ -10,7 +10,9 @@ from ctqw import (
     CouplingSeries,
     DirectedGraph,
     PropertyReport,
+    TimeGrid,
     bipartition,
+    build_moebius_ladder,
     build_ring,
     build_star,
     check_bidirected_edge_cancellation,
@@ -144,6 +146,22 @@ def test_cancellation_differs_away_from_half_pi():
     a = run_walk(ring_spec(6), 0.0, EXP, 0, grid)
     b = run_walk(moebius_spec(6), 0.0, EXP, 0, grid)
     assert np.max(np.abs(a.probabilities - b.probabilities)) > 1e-3
+
+
+@pytest.mark.parametrize("n", [6, 10, 14])
+def test_suppression_diagonalizes_once_for_all_starts(monkeypatch, n):
+    # exp coupling: one eigh of A_H for J, one of H; none per start node
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rep = check_transport_suppression(build_moebius_ladder(n), EXP, TimeGrid(0.0, 5.0, 20))
+    assert rep.passed, rep.line()
+    assert calls == [(n, n), (n, n)]
 
 
 def test_random_bipartite_graph_generator():
