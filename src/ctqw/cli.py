@@ -201,13 +201,14 @@ def write_heatmap_pgm(probabilities, path, scale: str = "linear", header_lines=(
     else:
         raise ValueError(f"unknown scale {scale!r}; expected 'linear' or 'log'")
     pixels = np.rint(255.0 * values).astype(int)
+    template = " ".join(["%d"] * pixels.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("P2\n")
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"{pixels.shape[1]} {pixels.shape[0]}\n255\n")
         for row in pixels:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+            fh.write(template % tuple(row.tolist()))
 
 
 def _ensure_parent(path: str) -> None:
@@ -281,17 +282,6 @@ _CHECK_TOLERANCES = {
 }
 
 
-def _tightened(report: PropertyReport, check_cfg) -> PropertyReport:
-    if "tolerance" not in check_cfg:
-        return report
-    tol = _config_number(check_cfg["tolerance"], "check: 'tolerance'")
-    if not (0.0 <= tol <= report.tolerance):
-        raise ValueError(
-            f"tolerance may only tighten the default {report.tolerance:g}, got {tol:g}"
-        )
-    return PropertyReport(report.name, report.instance, report.deviation, tol)
-
-
 def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
     _check_keys(
         check_cfg,
@@ -317,6 +307,11 @@ def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
         raise ConfigError(
             f"check: unknown property {prop!r}; expected one of {sorted(_CHECK_TOLERANCES)}"
         )
+    # checked before any walk runs: malformed exits 1, loosening is a rejected line
+    default = _CHECK_TOLERANCES[prop]
+    tol = _config_number(check_cfg.get("tolerance", default), "check: 'tolerance'")
+    if not (0.0 <= tol <= default):
+        raise ValueError(f"tolerance may only tighten the default {default:g}, got {tol:g}")
     series = _build_series(check_cfg.get("coupling"))
     if "time_grid" in check_cfg:
         grid = _build_grid(check_cfg["time_grid"])
@@ -378,7 +373,7 @@ def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
         reports.append(
             check_bidirected_edge_cancellation(first, second, series, initial, grid, label)
         )
-    return [_tightened(r, check_cfg) for r in reports]
+    return [PropertyReport(r.name, r.instance, r.deviation, tol) for r in reports]
 
 
 def cmd_verify(args) -> int:

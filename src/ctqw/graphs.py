@@ -59,7 +59,10 @@ class CirculantSpec:
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coefficients)
+        raw = tuple(self.coefficients)
+        if any(isinstance(c, (bool, np.bool_, str)) for c in raw):
+            raise ValueError(f"circulant coefficients must be real numbers, got {raw!r}")
+        coeffs = tuple(float(c) for c in raw)
         if len(coeffs) < 1:
             raise ValueError("circulant spec needs at least one coefficient")
         if not all(np.isfinite(c) for c in coeffs):

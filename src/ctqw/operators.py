@@ -118,7 +118,10 @@ class CouplingSeries:
     def __post_init__(self) -> None:
         if self.kind not in _SERIES_KINDS:
             raise ValueError(f"unknown series kind {self.kind!r}; expected one of {_SERIES_KINDS}")
-        coeffs = tuple(float(c) for c in (self.coefficients or ()))
+        raw = tuple(self.coefficients or ())
+        if any(isinstance(c, (bool, np.bool_, str)) for c in raw):
+            raise ValueError(f"series coefficients must be real numbers, got {raw!r}")
+        coeffs = tuple(float(c) for c in raw)
         if self.kind == "polynomial":
             if not coeffs:
                 raise ValueError("polynomial series needs at least one coefficient")

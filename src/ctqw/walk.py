@@ -8,6 +8,7 @@ eigendecomposition per (graph, alpha, series).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,9 +123,18 @@ class WalkResult:
         return float(np.max(np.abs(self.probabilities.sum(axis=1) - 1.0)))
 
 
+def _real_matmul(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v @ x for real v and complex 2-D x: one real gemm on the (re, im) column pairs of x."""
+    return (v @ np.ascontiguousarray(x).view(float)).view(complex)
+
+
 def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, times) -> np.ndarray:
     v = es.vectors
-    return propagate(es.values, v.conj().T @ psi0, times, lambda rows: rows @ v.T)
+    if np.iscomplexobj(v):
+        return propagate(es.values, v.conj().T @ psi0, times, lambda rows: rows @ v.T)
+    # real V (every assembled H) is never cast to a complex N x N copy
+    phi = _real_matmul(v.T, psi0[:, None])[:, 0]
+    return propagate(es.values, phi, times, lambda rows: _real_matmul(v, rows.T).T)
 
 
 def evolve(h: HermitianOperator, psi0: np.ndarray, t: float) -> np.ndarray:
@@ -205,49 +215,57 @@ def arrival_time(
 
 
 def write_walk_csv(result: WalkResult, path, include_amplitudes: bool = False, header_lines=()) -> None:
-    """Write a walk as long-format CSV rows ``t,node,probability[,re,im]``."""
+    """Write a walk as long-format CSV rows ``t,node,probability[,re,im]``.
+
+    Every value is spelled ``%.17g``.  Each time row is one ``%`` format of a
+    per-node template, so the scratch beyond the result is O(N).
+    """
+    cells = "%.17g,%.17g,%.17g" if include_amplitudes else "%.17g"
+    # "\0" stands for the time, spliced in once per row
+    template = "".join(f"\0,{node},{cells}\n" for node in range(result.n))
     with open(path, "w", encoding="ascii") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        cols = "t,node,probability" + (",re,im" if include_amplitudes else "")
-        fh.write(cols + "\n")
+        fh.write("t,node,probability" + (",re,im" if include_amplitudes else "") + "\n")
         for ti, t in enumerate(result.times):
-            for node in range(result.n):
-                row = f"{t:.17g},{node},{result.probabilities[ti, node]:.17g}"
-                if include_amplitudes:
-                    a = result.amplitudes[ti, node]
-                    row += f",{a.real:.17g},{a.imag:.17g}"
-                fh.write(row + "\n")
+            values = result.probabilities[ti]
+            if include_amplitudes:
+                a = result.amplitudes[ti]
+                values = np.column_stack((values, a.real, a.imag)).ravel()
+            fh.write(template.replace("\0", "%.17g" % t) % tuple(values.tolist()))
 
 
 def read_walk_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back (times, probabilities) from :func:`write_walk_csv` output."""
-    times: list[float] = []
-    rows: dict[float, dict[int, float]] = {}
+    """Read back (times, probabilities) from :func:`write_walk_csv` output.
+
+    Times keep their order of first appearance, cells without a row read 0,
+    and a repeated (t, node) row replaces the earlier one.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        header = None
-        for raw in fh:
+        for raw in iter(fh.readline, ""):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if header[:3] != ["t", "node", "probability"]:
+            if line and not line.startswith("#"):
+                if line.split(",")[:3] != ["t", "node", "probability"]:
                     raise ValueError(f"{path}: unexpected CSV header {line!r}")
-                continue
-            parts = line.split(",")
-            if len(parts) < 3:
-                raise ValueError(f"{path}: malformed data row {line!r}")
-            t, node, prob = float(parts[0]), int(parts[1]), float(parts[2])
-            if t not in rows:
-                rows[t] = {}
-                times.append(t)
-            rows[t][node] = prob
-    if not times:
+                break
+        body = (line for line in fh if not line.isspace())
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below as "no data rows"
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(body, delimiter=",", comments="#", usecols=(0, 1, 2), ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed data row ({exc})") from None
+    if not data.shape[0]:
         raise ValueError(f"{path}: no data rows")
-    n = max(max(r) for r in rows.values()) + 1
-    probs = np.zeros((len(times), n))
-    for ti, t in enumerate(times):
-        for node, p in rows[t].items():
-            probs[ti, node] = p
-    return np.asarray(times), probs
+    t, node, prob = data.T
+    if not np.all((node >= 0) & (node <= 2**53) & (node == np.floor(node))):
+        raise ValueError(f"{path}: node fields must be non-negative integers")
+    _, first, inverse = np.unique(t, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    probs = np.zeros((first.size, int(node.max()) + 1))
+    cells = np.argsort(order)[inverse] * probs.shape[1] + node.astype(np.intp)
+    # np.unique on the reversed cells finds each cell's last row
+    last = cells.size - 1 - np.unique(cells[::-1], return_index=True)[1]
+    probs.flat[cells[last]] = prob[last]
+    return t[first[order]], probs

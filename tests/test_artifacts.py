@@ -215,6 +215,7 @@ def test_reader_last_duplicate_cell_wins(tmp_path):
         pytest.param("t,node,probability", ["0,0.5,1"], id="fractional-node"),
         pytest.param("t,node,probability", ["0,x,1"], id="non-numeric-node"),
         pytest.param("t,node,probability", ["0,nan,1"], id="nan-node"),
+        pytest.param("t,node,probability", ["0,inf,1"], id="infinite-node"),
         pytest.param("t,node,probability", ["0,0,zero"], id="non-numeric-probability"),
         pytest.param("t,node,probability", ["0,0,1", "t,node,probability"], id="second-header"),
     ],
@@ -223,6 +224,14 @@ def test_reader_rejects_malformed_files(tmp_path, header, rows):
     path = tmp_path / "bad.csv"
     write_rows(path, rows, header=header)
     with pytest.raises(ValueError):
+        read_walk_csv(path)
+
+
+def test_reader_rejects_negative_node(tmp_path):
+    # the loop reader wrapped a negative node around to the last column
+    path = tmp_path / "negative.csv"
+    write_rows(path, ["0,0,0.5", "0,-1,0.5"])
+    with pytest.raises(ValueError, match="non-negative"):
         read_walk_csv(path)
 
 

@@ -362,6 +362,32 @@ def test_verify_tolerance_may_only_tighten(tmp_path, capsys):
     assert "tighten" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "tolerance, code", [("1e-12", 1), (1.0, 2), (-1e-12, 2), (1e-20, 0)]
+)
+def test_verify_tolerance_checked_before_walks(tmp_path, capsys, monkeypatch, tolerance, code):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    check = {
+        "property": "suppression",
+        "graph": {"family": "star", "size": 5},
+        "tolerance": tolerance,
+    }
+    assert main(["verify", "--config", write_config(tmp_path, {"checks": [check]})]) == code
+    out = capsys.readouterr().out
+    if code == 0:
+        assert calls and out.count(",pass") == 1
+    else:
+        assert calls == []
+        assert (",rejected" in out) == (code == 2)
+
+
 def test_verify_random_suppression_exhausted_draw_is_rejected(tmp_path, capsys):
     # Seed 39 draws instance 1 as a 30/1 split of 31 nodes, connected with
     # probability 0.75^30 per draw, and 10000 draws all miss: the check is

@@ -138,6 +138,19 @@ def test_circulant_spec_validation_and_matrix():
     assert CirculantSpec((0.0, 1.0, 1.0)).is_reversal_symmetric
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, "1", np.str_("1")])
+def test_circulant_spec_rejects_booleans_and_strings(bad):
+    with pytest.raises(ValueError, match="real numbers"):
+        CirculantSpec((0, bad, 0, 0))
+
+
+def test_circulant_spec_accepts_numpy_numbers():
+    c = CirculantSpec((0, np.int64(1), np.float32(0.5), np.float64(2.0), 3))
+    assert c.coefficients == (0.0, 1.0, 0.5, 2.0, 3.0)
+    assert all(type(v) is float for v in c.coefficients)
+    assert CirculantSpec(np.array([0.0, 1.0, 1.0])) == CirculantSpec((0.0, 1.0, 1.0))
+
+
 def test_circulant_to_graph():
     g = CirculantSpec((0.0, 1.0, 0.0, 1.0)).to_graph()
     assert g.edges == frozenset(
@@ -203,3 +216,10 @@ def test_circulant_file_round_trip(tmp_path):
     path.write_text("# comment\n\n")
     with pytest.raises(ValueError):
         read_circulant(path)
+    # file fields are parsed as numbers before the spec checks its entries
+    path.write_text("# spec\n0, 1 ,0.5e0,1e-3\n")
+    assert read_circulant(path) == CirculantSpec((0.0, 1.0, 0.5, 1e-3))
+    for bad in ("0,true,1\n", "0,,1\n"):
+        path.write_text(bad)
+        with pytest.raises(ValueError):
+            read_circulant(path)

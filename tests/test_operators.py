@@ -89,6 +89,21 @@ def test_coupling_series_validation():
         CouplingSeries.polynomial([1.0, float("inf")])
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5", np.str_("1")])
+def test_coupling_series_rejects_booleans_and_strings(bad):
+    with pytest.raises(ValueError, match="real numbers"):
+        CouplingSeries.polynomial([1.0, bad])
+    with pytest.raises(ValueError, match="real numbers"):
+        CouplingSeries("polynomial", (bad,))
+
+
+def test_coupling_series_accepts_numpy_numbers():
+    series = CouplingSeries.polynomial([1, np.int32(2), np.float32(0.5), np.float64(0.25)])
+    assert series.coefficients == (1.0, 2.0, 0.5, 0.25)
+    assert all(type(c) is float for c in series.coefficients)
+    assert CouplingSeries.polynomial(np.array([0.0, 1.0])).coefficients == (0.0, 1.0)
+
+
 def test_coupling_scalar_values():
     x = 0.8
     assert CouplingSeries.exp().scalar(x) == pytest.approx(math.exp(x))

@@ -1,6 +1,7 @@
 """Walk driver: grids, states, evolution routes, arrivals, CSV round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ctqw import (
     evolve,
     localized_state,
     moebius_spec,
+    propagator,
     read_walk_csv,
     ring_spec,
     run_walk,
@@ -101,6 +103,22 @@ def test_dense_walk_matches_complex_eigh_reference(steps):
     amps = run_walk(g, alpha, CouplingSeries.exp(), psi0, grid).amplitudes
     assert amps.shape == (steps, n)
     assert np.max(np.abs(amps - reference)) < 1e-12
+
+
+def test_dense_walk_scratch_stays_below_one_complex_matrix():
+    # Real eigenvectors map chunks back with a real gemm; casting V to
+    # complex (per call or per chunk) alone would take a complex N x N.
+    n = 500
+    amplitudes = propagator(build_ring(n), 0.4, CouplingSeries.exp())
+    psi0 = localized_state(n, 3)
+    times = np.linspace(0.0, 5.0, 8 * TIME_CHUNK)
+    tracemalloc.start()
+    try:
+        amps = amplitudes(psi0, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - amps.nbytes < n * n * 16
 
 
 def test_walk_result_contract():
