@@ -18,7 +18,7 @@ import numpy as np
 
 from .graphs import CirculantSpec, read_edge_list
 from .graphs import moebius_spec, ring_spec, build_star
-from .operators import CouplingSeries, EigendecompositionError, parse_phase
+from .operators import TIME_CHUNK, CouplingSeries, EigendecompositionError, parse_phase
 from .properties import (
     TOL_CANCELLATION,
     TOL_MIRROR,
@@ -43,6 +43,11 @@ from .walk import (
 
 LOG_FLOOR = 1e-12
 LOG_SPAN = 12.0
+
+# Gray levels 0..255 spelled with the separator that follows them in a P2
+# row, NUL-padded to 4 bytes; the padding is dropped when a block is written.
+_GRAY_CELLS = np.array([b"%d " % v for v in range(256)])
+_GRAY_ROW_ENDS = np.array([b"%d\n" % v for v in range(256)])
 
 
 class ConfigError(ValueError):
@@ -201,14 +206,19 @@ def write_heatmap_pgm(probabilities, path, scale: str = "linear", header_lines=(
     else:
         raise ValueError(f"unknown scale {scale!r}; expected 'linear' or 'log'")
     pixels = np.rint(255.0 * values).astype(int)
-    template = " ".join(["%d"] * pixels.shape[1]) + "\n"
+    if pixels.min() < 0 or pixels.max() > 255:
+        raise ValueError("heatmap needs finite, non-negative probabilities")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("P2\n")
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"{pixels.shape[1]} {pixels.shape[0]}\n255\n")
-        for row in pixels:
-            fh.write(template % tuple(row.tolist()))
+        for start in range(0, pixels.shape[0], TIME_CHUNK):
+            block = pixels[start : start + TIME_CHUNK]
+            cells = _GRAY_CELLS[block]
+            cells[:, -1] = _GRAY_ROW_ENDS[block[:, -1]]
+            text = cells.view(np.uint8)
+            fh.write(text[text != 0].tobytes().decode("ascii"))
 
 
 def _ensure_parent(path: str) -> None:

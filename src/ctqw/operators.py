@@ -22,7 +22,8 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 
-# Time rows moved back from the eigenbasis per call of ``to_nodes`` in ``propagate``.
+# Time rows per block: moved back from the eigenbasis per call of ``to_nodes`` in
+# ``propagate``, and formatted per write by the PGM heatmap writer.
 TIME_CHUNK = 64
 
 _SERIES_KINDS = ("polynomial", "exp", "sinh", "cosh", "identity")

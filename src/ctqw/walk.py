@@ -235,6 +235,22 @@ def write_walk_csv(result: WalkResult, path, include_amplitudes: bool = False, h
             fh.write(template.replace("\0", "%.17g" % t) % tuple(values.tolist()))
 
 
+# Data rows as parsed: the time stays text until runs of equal times are
+# found, so a time shared by N consecutive rows is converted once.  %.17g
+# spells any float in at most 24 characters.
+_TIME_FIELD = 32
+_CSV_ROW = np.dtype([("t", f"S{_TIME_FIELD}"), ("node", float), ("p", float)])
+
+
+def _parse_times(text: np.ndarray) -> np.ndarray:
+    """Float value of each time field, converting each run of equal fields once."""
+    heads = np.flatnonzero(np.r_[True, text[1:] != text[:-1]])
+    spelled = text[heads]
+    if np.char.str_len(spelled).max() >= _TIME_FIELD:
+        raise ValueError(f"time fields must be shorter than {_TIME_FIELD} characters")
+    return np.repeat(spelled.astype(float), np.diff(np.r_[heads, text.size]))
+
+
 def read_walk_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back (times, probabilities) from :func:`write_walk_csv` output.
 
@@ -242,23 +258,21 @@ def read_walk_csv(path) -> tuple[np.ndarray, np.ndarray]:
     and a repeated (t, node) row replaces the earlier one.
     """
     with open(path, "r", encoding="ascii") as fh:
-        for raw in iter(fh.readline, ""):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                if line.split(",")[:3] != ["t", "node", "probability"]:
-                    raise ValueError(f"{path}: unexpected CSV header {line!r}")
-                break
-        body = (line for line in fh if not line.isspace())
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported below as "no data rows"
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(body, delimiter=",", comments="#", usecols=(0, 1, 2), ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed data row ({exc})") from None
-    if not data.shape[0]:
+        lines = (line for line in fh if not line.isspace())
+        header = next((line.strip() for line in lines if not line.lstrip().startswith("#")), "")
+        if header and header.split(",")[:3] != ["t", "node", "probability"]:
+            raise ValueError(f"{path}: unexpected CSV header {header!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+            try:
+                rows = np.loadtxt(
+                    lines, _CSV_ROW, delimiter=",", comments="#", usecols=(0, 1, 2), ndmin=1
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed data row ({exc})") from None
+    if not rows.size:
         raise ValueError(f"{path}: no data rows")
-    t, node, prob = data.T
+    t, node, prob = _parse_times(rows["t"]), rows["node"], rows["p"]
     if not np.all((node >= 0) & (node <= 2**53) & (node == np.floor(node))):
         raise ValueError(f"{path}: node fields must be non-negative integers")
     _, first, inverse = np.unique(t, return_index=True, return_inverse=True)

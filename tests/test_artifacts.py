@@ -130,6 +130,16 @@ def test_heatmap_bytes_match_loop_writer(tmp_path, scale):
             assert new.read_bytes() == ref.read_bytes()
 
 
+def test_heatmap_rejects_pixels_outside_the_gray_range(tmp_path):
+    # the loop writer spelled these as "-64" or "510", outside P2's 0..255
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(ValueError, match="non-negative"):
+        write_heatmap_pgm(np.array([[0.5, -0.25], [0.25, 0.5]]), path, "linear")
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="non-negative"):
+            write_heatmap_pgm(np.array([[np.nan, 1.0]]), path, "log")
+
+
 def write_rows(path, rows, header="t,node,probability", comments=("# written by hand",)):
     text = "".join(f"{c}\n" for c in comments) + (header + "\n" if header else "")
     path.write_text(text + "".join(row + "\n" for row in rows))
@@ -181,6 +191,15 @@ def test_reader_shuffled_written_walk(tmp_path):
     assert_reads_like_loop_reader(path)
 
 
+def test_reader_groups_time_spellings_by_value(tmp_path):
+    path = tmp_path / "spellings.csv"
+    rows = ["0.5,0,0.25", " 0.5,1,0.75", "5e-1,0,0.5", "1,0,1", "1.0,1,0", "0.50 ,2,0"]
+    write_rows(path, rows)
+    times, probs = assert_reads_like_loop_reader(path)
+    assert times.tolist() == [0.5, 1.0]
+    assert probs.tolist() == [[0.5, 0.75, 0.0], [1.0, 0.0, 0.0]]
+
+
 def test_reader_leaves_missing_cells_zero(tmp_path):
     path = tmp_path / "sparse.csv"
     write_rows(path, ["0,3,0.5", "0,1,0.5", "1,0,1"])
@@ -224,6 +243,16 @@ def test_reader_rejects_malformed_files(tmp_path, header, rows):
     path = tmp_path / "bad.csv"
     write_rows(path, rows, header=header)
     with pytest.raises(ValueError):
+        read_walk_csv(path)
+
+
+def test_reader_rejects_overlong_time_field(tmp_path):
+    # %.17g needs at most 24 characters; 32 or more could not be told from a cut field
+    path = tmp_path / "long.csv"
+    write_rows(path, ["0." + "3" * 29 + ",0,1"])
+    assert read_walk_csv(path)[0][0] == pytest.approx(1 / 3)
+    write_rows(path, ["0." + "3" * 30 + ",0,1"])
+    with pytest.raises(ValueError, match="shorter than 32"):
         read_walk_csv(path)
 
 
