@@ -94,7 +94,9 @@ def random_walk(steps, n, seed=5):
 
 
 @pytest.mark.parametrize("include_amplitudes", [False, True])
-@pytest.mark.parametrize("make", [edge_case_walk, lambda: random_walk(70, 13)])
+@pytest.mark.parametrize(
+    "make", [edge_case_walk, lambda: random_walk(70, 13)], ids=["edge-values", "random"]
+)
 def test_walk_csv_bytes_match_loop_writer(tmp_path, make, include_amplitudes):
     result = make()
     header = ["generated-by: ctqw simulate", 'config: {"a":1}', "alpha: 0.25"]

@@ -138,7 +138,9 @@ def test_circulant_spec_validation_and_matrix():
     assert CirculantSpec((0.0, 1.0, 1.0)).is_reversal_symmetric
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, "1", np.str_("1")])
+@pytest.mark.parametrize(
+    "bad", [True, np.True_, "1", np.str_("1")], ids=["bool", "numpy-bool", "str", "numpy-str"]
+)
 def test_circulant_spec_rejects_booleans_and_strings(bad):
     with pytest.raises(ValueError, match="real numbers"):
         CirculantSpec((0, bad, 0, 0))

@@ -89,7 +89,11 @@ def test_coupling_series_validation():
         CouplingSeries.polynomial([1.0, float("inf")])
 
 
-@pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5", np.str_("1")])
+@pytest.mark.parametrize(
+    "bad",
+    [True, np.bool_(False), "0.5", np.str_("1")],
+    ids=["bool", "numpy-bool", "str", "numpy-str"],
+)
 def test_coupling_series_rejects_booleans_and_strings(bad):
     with pytest.raises(ValueError, match="real numbers"):
         CouplingSeries.polynomial([1.0, bad])
