@@ -9,20 +9,16 @@ graphs get an exact Fourier-diagonal fast path.
 
 from .graphs import (
     Bipartition,
-    BlockDecomposition,
     CirculantSpec,
     DirectedGraph,
     bipartition,
     build_moebius_ladder,
     build_ring,
     build_star,
-    circulant_block_decomposition,
     moebius_spec,
-    read_circulant,
     read_edge_list,
     ring_spec,
     weakly_connected_components,
-    write_circulant,
     write_edge_list,
 )
 from .operators import (
@@ -32,13 +28,10 @@ from .operators import (
     HermitianOperator,
     apply_coupling,
     assemble_hamiltonian,
-    dump_operator,
     hermitian_adjacency,
     hermitian_eigendecomposition,
-    load_operator,
     parse_phase,
     propagate,
-    reduce_phase,
 )
 from .spectral import (
     circulant_ah_spectrum,
@@ -54,13 +47,10 @@ from .walk import (
     TimeGrid,
     WalkResult,
     arrival_time,
-    evolve,
     localized_state,
     propagator,
     read_walk_csv,
     run_walk,
-    sweep_alpha,
-    uniform_state,
     validate_state,
     write_walk_csv,
 )
@@ -70,9 +60,7 @@ from .closed_forms import (
     half_pi_spectrum_shift,
     ring_closed_form_support,
     ring_hamiltonian_closed_form,
-    star_frequency,
     star_frequency_polynomial,
-    star_probability,
     star_probability_field,
 )
 from .properties import (

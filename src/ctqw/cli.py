@@ -198,6 +198,8 @@ def write_heatmap_pgm(probabilities, path, scale: str = "linear", header_lines=(
     probs = np.asarray(probabilities, dtype=float)
     if probs.ndim != 2 or probs.size == 0:
         raise ValueError("heatmap needs a nonempty (steps, nodes) array")
+    if not (np.isfinite(probs).all() and probs.min() >= 0.0):
+        raise ValueError("heatmap needs finite, non-negative probabilities")
     if scale == "linear":
         pmax = probs.max()
         values = probs / pmax if pmax > 0 else np.zeros_like(probs)
@@ -206,8 +208,6 @@ def write_heatmap_pgm(probabilities, path, scale: str = "linear", header_lines=(
     else:
         raise ValueError(f"unknown scale {scale!r}; expected 'linear' or 'log'")
     pixels = np.rint(255.0 * values).astype(int)
-    if pixels.min() < 0 or pixels.max() > 255:
-        raise ValueError("heatmap needs finite, non-negative probabilities")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("P2\n")
         for line in header_lines:

@@ -61,11 +61,6 @@ class StarClosedForm:
         return (1.0 - c) / (2.0 * self.n_peripheral)
 
 
-def star_frequency(n_peripheral: int, directed: bool, alpha: float) -> float:
-    """Hub oscillation frequency of the exp-coupled star walk."""
-    return StarClosedForm(n_peripheral, directed, alpha).omega
-
-
 def star_frequency_polynomial(
     n_peripheral: int, series: CouplingSeries, alpha: float
 ) -> float:
@@ -78,11 +73,6 @@ def star_frequency_polynomial(
         raise ValueError("star needs at least one peripheral node")
     root = math.sqrt(n_peripheral)
     return 4.0 * float(series.odd_scalar(root)) * math.cos(alpha)
-
-
-def star_probability(n_peripheral: int, directed: bool, alpha: float, node: int, t):
-    """Closed-form P(node, t) for the star walk started at the hub."""
-    return StarClosedForm(n_peripheral, directed, alpha).probability(node, t)
 
 
 def star_probability_field(n_peripheral: int, directed: bool, alpha: float, times) -> np.ndarray:

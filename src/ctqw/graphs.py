@@ -153,16 +153,10 @@ def build_moebius_ladder(n: int, outer_directed: bool = True) -> DirectedGraph:
 
 @dataclass(eq=False, frozen=True)
 class Bipartition:
-    """Two-coloring of a graph plus the biadjacency blocks.
-
-    In even-first node ordering the adjacency matrix takes the form
-    [[0, B1], [B2, 0]] with B1 = block_even_to_odd, B2 = block_odd_to_even.
-    """
+    """Two-coloring of a graph: every edge joins ``even`` and ``odd``."""
 
     even: tuple[int, ...]
     odd: tuple[int, ...]
-    block_even_to_odd: np.ndarray
-    block_odd_to_even: np.ndarray
 
 
 def weakly_connected_components(g: DirectedGraph) -> list[list[int]]:
@@ -215,60 +209,7 @@ def bipartition(g: DirectedGraph) -> Bipartition | None:
                     return None
     even = tuple(i for i in range(g.n) if color[i] == 0)
     odd = tuple(i for i in range(g.n) if color[i] == 1)
-    a = g.adjacency()
-    b1 = a[np.ix_(even, odd)] if even and odd else np.zeros((len(even), len(odd)))
-    b2 = a[np.ix_(odd, even)] if even and odd else np.zeros((len(odd), len(even)))
-    return Bipartition(even, odd, b1, b2)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Even/odd-index permutation blocks of an even-length circulant.
-
-    ``permutation`` maps row i of the permutation matrix P to its unit
-    column: P[i, permutation[i]] = 1.  Conjugating the source circulant,
-    P M P^T, yields [[D, U], [L, D]] with circulant half-size blocks
-    D = diagonal_block, U = upper_block, L = lower_block.
-    """
-
-    permutation: tuple[int, ...]
-    diagonal_block: CirculantSpec
-    upper_block: CirculantSpec
-    lower_block: CirculantSpec
-
-    def permutation_matrix(self) -> np.ndarray:
-        n = len(self.permutation)
-        p = np.zeros((n, n))
-        for i, j in enumerate(self.permutation):
-            p[i, j] = 1.0
-        return p
-
-    def assembled(self) -> np.ndarray:
-        """The block matrix [[D, U], [L, D]]."""
-        d = self.diagonal_block.matrix()
-        u = self.upper_block.matrix()
-        l = self.lower_block.matrix()
-        return np.block([[d, u], [l, d]])
-
-
-def circulant_block_decomposition(c: CirculantSpec) -> BlockDecomposition:
-    """Split an even-length circulant into even/odd coefficient blocks.
-
-    The permutation sends row i to column (2i + floor(2i/n)) mod n; it is
-    built with integer arithmetic only.  Blocks come straight off coefficient
-    slices, so P M P^T reproduces them exactly.
-    """
-    n = c.n
-    if n % 2 != 0 or n < 2:
-        raise ValueError("block decomposition needs an even-length circulant")
-    sigma = tuple((2 * i + (2 * i) // n) % n for i in range(n))
-    coeffs = c.coefficients
-    diag = coeffs[0::2]
-    upper = coeffs[1::2]
-    lower = (upper[-1],) + upper[:-1]
-    return BlockDecomposition(
-        sigma, CirculantSpec(diag), CirculantSpec(upper), CirculantSpec(lower)
-    )
+    return Bipartition(even, odd)
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:
@@ -307,19 +248,3 @@ def read_edge_list(path) -> DirectedGraph:
             raise ValueError(f"{path}: duplicate edge {e}")
         edges.add(e)
     return DirectedGraph(n, frozenset(edges))
-
-
-def write_circulant(c: CirculantSpec, path) -> None:
-    """Write a circulant spec as one comma-separated coefficient line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(f"{v:.17g}" for v in c.coefficients) + "\n")
-
-
-def read_circulant(path) -> CirculantSpec:
-    """Read the format written by :func:`write_circulant`."""
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                return CirculantSpec(tuple(float(v) for v in line.split(",")))
-    raise ValueError(f"{path}: no coefficient line found")

@@ -73,11 +73,6 @@ def parse_phase(token) -> float:
     return value
 
 
-def reduce_phase(alpha: float) -> float:
-    """Canonical representative of alpha in [0, 2*pi).  Never applied implicitly."""
-    return float(alpha) % (2.0 * math.pi)
-
-
 @dataclass(eq=False, frozen=True)
 class HermitianOperator:
     """A square matrix certified and stored as exactly Hermitian.
@@ -243,30 +238,3 @@ def assemble_hamiltonian(g, alpha: float, series: CouplingSeries) -> HermitianOp
     """
     j = apply_coupling(series, hermitian_adjacency(g, alpha))
     return HermitianOperator(2.0 * j.matrix.real)
-
-
-def dump_operator(op: HermitianOperator, path) -> None:
-    """Write an operator as a dimension line plus row-major ``re,im`` pairs."""
-    m = op.matrix
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{m.shape[0]}\n")
-        for row in m:
-            fh.write(" ".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) + "\n")
-
-
-def load_operator(path) -> HermitianOperator:
-    """Read the format written by :func:`dump_operator`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    n = int(lines[0])
-    if len(lines) != n + 1:
-        raise ValueError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    m = np.zeros((n, n), dtype=complex)
-    for i, line in enumerate(lines[1:]):
-        entries = line.split()
-        if len(entries) != n:
-            raise ValueError(f"{path}: row {i} has {len(entries)} entries, expected {n}")
-        for j, entry in enumerate(entries):
-            re_part, im_part = entry.split(",")
-            m[i, j] = complex(float(re_part), float(im_part))
-    return HermitianOperator(m)

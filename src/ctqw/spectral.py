@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import CirculantSpec
-from .operators import TIME_CHUNK, CouplingSeries, propagate  # noqa: F401 (re-exports TIME_CHUNK)
+from .operators import CouplingSeries, propagate
 
 
 def fourier_basis(n: int) -> np.ndarray:

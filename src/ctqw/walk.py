@@ -17,7 +17,6 @@ from .graphs import CirculantSpec, DirectedGraph
 from .operators import (
     CouplingSeries,
     EigenSystem,
-    HermitianOperator,
     assemble_hamiltonian,
     hermitian_eigendecomposition,
     propagate,
@@ -65,13 +64,6 @@ def localized_state(n: int, node: int) -> np.ndarray:
     return psi
 
 
-def uniform_state(n: int) -> np.ndarray:
-    """Equal-amplitude state over all nodes."""
-    if n < 1:
-        raise ValueError("state needs n >= 1")
-    return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
-
-
 def validate_state(psi: np.ndarray, n: int | None = None) -> np.ndarray:
     """Check a state vector is the right size and normalized within 1e-12."""
     psi = np.asarray(psi, dtype=complex)
@@ -106,7 +98,7 @@ class WalkResult:
             raise ValueError("amplitudes must be (steps, n) matching the time grid")
         probs = np.abs(amps) ** 2
         defect = float(np.max(np.abs(probs.sum(axis=1) - 1.0))) if probs.size else 0.0
-        if defect > ROW_NORM_TOL:
+        if not defect <= ROW_NORM_TOL:
             raise NormalizationError(
                 f"probability rows deviate from 1 by {defect:.3e} (> {ROW_NORM_TOL:g})"
             )
@@ -129,18 +121,10 @@ def _real_matmul(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, times) -> np.ndarray:
+    # V is real (every assembled H is float64), so it is never cast to a complex N x N copy
     v = es.vectors
-    if np.iscomplexobj(v):
-        return propagate(es.values, v.conj().T @ psi0, times, lambda rows: rows @ v.T)
-    # real V (every assembled H) is never cast to a complex N x N copy
     phi = _real_matmul(v.T, psi0[:, None])[:, 0]
     return propagate(es.values, phi, times, lambda rows: _real_matmul(v, rows.T).T)
-
-
-def evolve(h: HermitianOperator, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Amplitudes exp(-iHt) psi0 for a single time."""
-    psi0 = validate_state(psi0, h.n)
-    return _dense_amplitudes(hermitian_eigendecomposition(h), psi0, [t])[0]
 
 
 def _as_state(initial, n: int) -> np.ndarray:
@@ -176,7 +160,6 @@ def run_walk(
     series: CouplingSeries,
     initial,
     grid: TimeGrid = DEFAULT_TIME_GRID,
-    label: str | None = None,
 ) -> WalkResult:
     """Run one walk; circulant specs use the Fourier path, graphs the dense path.
 
@@ -185,21 +168,7 @@ def run_walk(
     amplitudes = propagator(graph_or_spec, alpha, series)
     psi0 = _as_state(initial, graph_or_spec.n)
     times = grid.times()
-    return WalkResult(label or _label(graph_or_spec), float(alpha), times, amplitudes(psi0, times))
-
-
-def sweep_alpha(
-    graph_or_spec,
-    alphas,
-    series: CouplingSeries,
-    initial,
-    grid: TimeGrid = DEFAULT_TIME_GRID,
-) -> list[WalkResult]:
-    """Run one walk per phase value."""
-    alphas = [float(a) for a in alphas]
-    if not alphas:
-        raise ValueError("sweep needs at least one phase value")
-    return [run_walk(graph_or_spec, a, series, initial, grid) for a in alphas]
+    return WalkResult(_label(graph_or_spec), float(alpha), times, amplitudes(psi0, times))
 
 
 def arrival_time(

@@ -137,9 +137,12 @@ def test_heatmap_rejects_pixels_outside_the_gray_range(tmp_path):
     path = tmp_path / "bad.pgm"
     with pytest.raises(ValueError, match="non-negative"):
         write_heatmap_pgm(np.array([[0.5, -0.25], [0.25, 0.5]]), path, "linear")
-    with np.errstate(invalid="ignore"):
+    # non-finite fields are rejected on both scales, before any scaling
+    for field in ([[np.nan, 0.5], [0.25, 1.0]], [[np.inf, 0.5], [0.25, 1.0]]):
         with pytest.raises(ValueError, match="non-negative"):
-            write_heatmap_pgm(np.array([[np.nan, 1.0]]), path, "log")
+            write_heatmap_pgm(np.array(field), path, "linear")
+    with pytest.raises(ValueError, match="non-negative"):
+        write_heatmap_pgm(np.array([[np.nan, 1.0]]), path, "log")
 
 
 def write_rows(path, rows, header="t,node,probability", comments=("# written by hand",)):

@@ -20,9 +20,7 @@ from ctqw import (
     ring_hamiltonian_closed_form,
     ring_spec,
     run_walk,
-    star_frequency,
     star_frequency_polynomial,
-    star_probability,
     star_probability_field,
 )
 from ctqw import closed_forms
@@ -32,10 +30,10 @@ def test_star_frequency_pinned_forms():
     for n in (1, 4, 9):
         for alpha in (0.0, 0.4, math.pi / 2):
             base = 4 * math.sinh(math.sqrt(n)) * math.cos(alpha)
-            assert star_frequency(n, True, alpha) == pytest.approx(base)
+            assert StarClosedForm(n, True, alpha).omega == pytest.approx(base)
             # undirected: A_H = 2 cos(alpha) S, so the exponent doubles inside sinh
             undirected = 4 * math.sinh(2 * math.sqrt(n) * math.cos(alpha))
-            assert star_frequency(n, False, alpha) == pytest.approx(undirected)
+            assert StarClosedForm(n, False, alpha).omega == pytest.approx(undirected)
 
 
 def test_star_probability_conserves_mass():
@@ -55,7 +53,7 @@ def test_star_probability_field_shape():
     field = star_probability_field(3, True, 0.2, times)
     assert field.shape == (9, 4)
     assert np.allclose(field.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(field[:, 0], star_probability(3, True, 0.2, 0, times))
+    assert np.allclose(field[:, 0], StarClosedForm(3, True, 0.2).probability(0, times))
 
 
 def test_directed_star_walk_matches_closed_form():
@@ -74,7 +72,7 @@ def test_undirected_star_walk_matches_two_level_reduction():
     # coupling then leaves a two-level problem with splitting
     # 2 exp(2 sqrt(N) cos a) - 2 exp(-2 sqrt(N) cos a) = 4 sinh(2 sqrt(N) cos a).
     # That is the frequency the simulator must reproduce, and the one
-    # star_frequency gives for the undirected star.  This test derives it
+    # StarClosedForm gives for the undirected star.  This test derives it
     # here by hand so the engine is checked independently of that oracle.
     grid = TimeGrid(0.0, 10.0, 200)
     times = grid.times()

@@ -1,9 +1,7 @@
-"""Graph builders, bipartitions, circulant specs, and block decompositions."""
+"""Graph builders, bipartitions, circulant specs, and edge-list files."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ctqw import (
     CirculantSpec,
@@ -12,13 +10,9 @@ from ctqw import (
     build_moebius_ladder,
     build_ring,
     build_star,
-    circulant_block_decomposition,
     moebius_spec,
-    read_circulant,
     read_edge_list,
-    ring_spec,
     weakly_connected_components,
-    write_circulant,
     write_edge_list,
 )
 
@@ -99,15 +93,13 @@ def test_bipartition_blocks_and_anchor():
     parts = bipartition(g)
     assert parts.even == (0,)
     assert parts.odd == (1, 2, 3)
-    assert np.array_equal(parts.block_even_to_odd, np.ones((1, 3)))
-    assert np.array_equal(parts.block_odd_to_even, np.zeros((3, 1)))
     # even-first reordering puts the adjacency into off-diagonal block form
     a = g.adjacency()
     order = list(parts.even) + list(parts.odd)
     reordered = a[np.ix_(order, order)]
     ne = len(parts.even)
-    assert np.array_equal(reordered[:ne, ne:], parts.block_even_to_odd)
-    assert np.array_equal(reordered[ne:, :ne], parts.block_odd_to_even)
+    assert np.array_equal(reordered[:ne, ne:], np.ones((1, 3)))
+    assert np.array_equal(reordered[ne:, :ne], np.zeros((3, 1)))
     assert not reordered[:ne, :ne].any()
     assert not reordered[ne:, ne:].any()
 
@@ -164,30 +156,6 @@ def test_circulant_to_graph():
         CirculantSpec((0.0, 0.5)).to_graph()
 
 
-def test_block_decomposition_frozen_example():
-    c = CirculantSpec((0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0))
-    bd = circulant_block_decomposition(c)
-    assert bd.permutation == (0, 2, 4, 6, 1, 3, 5, 7)
-    assert bd.diagonal_block.coefficients == (0.0, 2.0, 4.0, 6.0)
-    assert bd.upper_block.coefficients == (1.0, 3.0, 5.0, 7.0)
-    assert bd.lower_block.coefficients == (7.0, 1.0, 3.0, 5.0)
-    with pytest.raises(ValueError):
-        circulant_block_decomposition(CirculantSpec((0.0, 1.0, 0.0)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(half=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_block_decomposition_conjugation_is_exact(half, seed):
-    # Integer coefficients keep the conjugation comparison exact.
-    rng = np.random.default_rng(seed)
-    coeffs = tuple(float(v) for v in rng.integers(-50, 50, size=2 * half))
-    c = CirculantSpec(coeffs)
-    bd = circulant_block_decomposition(c)
-    p = bd.permutation_matrix()
-    assert np.array_equal(p @ c.matrix() @ p.T, bd.assembled())
-    assert np.array_equal(p @ p.T, np.eye(2 * half))
-
-
 def test_edge_list_round_trip(tmp_path):
     g = build_moebius_ladder(6)
     path = tmp_path / "graph.txt"
@@ -208,20 +176,3 @@ def test_edge_list_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         read_edge_list(path)
-
-
-def test_circulant_file_round_trip(tmp_path):
-    c = ring_spec(5)
-    path = tmp_path / "spec.txt"
-    write_circulant(c, path)
-    assert read_circulant(path) == c
-    path.write_text("# comment\n\n")
-    with pytest.raises(ValueError):
-        read_circulant(path)
-    # file fields are parsed as numbers before the spec checks its entries
-    path.write_text("# spec\n0, 1 ,0.5e0,1e-3\n")
-    assert read_circulant(path) == CirculantSpec((0.0, 1.0, 0.5, 1e-3))
-    for bad in ("0,true,1\n", "0,,1\n"):
-        path.write_text(bad)
-        with pytest.raises(ValueError):
-            read_circulant(path)

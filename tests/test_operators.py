@@ -15,12 +15,9 @@ from ctqw import (
     assemble_hamiltonian,
     build_ring,
     build_star,
-    dump_operator,
     hermitian_adjacency,
     hermitian_eigendecomposition,
-    load_operator,
     parse_phase,
-    reduce_phase,
 )
 
 
@@ -29,6 +26,8 @@ def test_parse_phase_tokens():
     assert parse_phase("3pi/4") == pytest.approx(3 * math.pi / 4)
     assert parse_phase("-pi") == pytest.approx(-math.pi)
     assert parse_phase("2pi") == pytest.approx(2 * math.pi)
+    # phases are never reduced modulo 2 pi
+    assert parse_phase("5pi/2") == pytest.approx(5 * math.pi / 2)
     assert parse_phase("0.5*pi") == pytest.approx(math.pi / 2)
     assert parse_phase("0.3") == pytest.approx(0.3)
     assert parse_phase(0.3) == pytest.approx(0.3)
@@ -39,13 +38,6 @@ def test_parse_phase_rejects_garbage():
     for bad in ("tau", "pi/0", "", "nan", float("inf"), True, None):
         with pytest.raises((ValueError, TypeError)):
             parse_phase(bad)
-
-
-def test_reduce_phase_is_explicit():
-    assert reduce_phase(5 * math.pi / 2) == pytest.approx(math.pi / 2)
-    assert reduce_phase(-math.pi / 2) == pytest.approx(3 * math.pi / 2)
-    # callers opt in; parsing alone never reduces
-    assert parse_phase("5pi/2") == pytest.approx(5 * math.pi / 2)
 
 
 def test_hermitian_operator_contract():
@@ -241,21 +233,6 @@ def test_assemble_phase_sign_invariance():
         hp = assemble_hamiltonian(g, alpha, CouplingSeries.exp()).matrix
         hm = assemble_hamiltonian(g, -alpha, CouplingSeries.exp()).matrix
         assert np.max(np.abs(hp - hm)) < 1e-13
-
-
-def test_operator_file_round_trip(tmp_path):
-    m = _random_hermitian(np.random.default_rng(3), 5)
-    op = HermitianOperator(m)
-    path = tmp_path / "op.txt"
-    dump_operator(op, path)
-    loaded = load_operator(path)
-    assert np.array_equal(loaded.matrix, op.matrix)
-    h = assemble_hamiltonian(build_star(3), 0.4, CouplingSeries.exp())
-    dump_operator(h, path)
-    assert np.array_equal(load_operator(path).matrix, h.matrix)
-    path.write_text("2\n1,0 2,0\n")
-    with pytest.raises(ValueError):
-        load_operator(path)
 
 
 def test_eigendecomposition_error_type():

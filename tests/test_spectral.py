@@ -23,7 +23,7 @@ from ctqw import (
     localized_state,
     ring_spec,
 )
-from ctqw.spectral import TIME_CHUNK
+from ctqw.operators import TIME_CHUNK
 
 
 def test_fourier_basis_frozen_column():

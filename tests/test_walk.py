@@ -9,26 +9,21 @@ import pytest
 from ctqw import (
     CouplingSeries,
     DirectedGraph,
-    HermitianOperator,
     NormalizationError,
     TimeGrid,
     WalkResult,
     arrival_time,
-    assemble_hamiltonian,
     build_ring,
-    evolve,
     localized_state,
     moebius_spec,
     propagator,
     read_walk_csv,
     ring_spec,
     run_walk,
-    sweep_alpha,
-    uniform_state,
     validate_state,
     write_walk_csv,
 )
-from ctqw.spectral import TIME_CHUNK
+from ctqw.operators import TIME_CHUNK
 
 
 def test_time_grid_contract():
@@ -44,7 +39,6 @@ def test_time_grid_contract():
 def test_state_builders():
     psi = localized_state(4, 2)
     assert np.array_equal(psi, [0, 0, 1, 0])
-    assert np.allclose(uniform_state(4), np.full(4, 0.5))
     with pytest.raises(ValueError):
         localized_state(4, 4)
     with pytest.raises(ValueError):
@@ -54,18 +48,11 @@ def test_state_builders():
 
 
 def test_evolve_basics():
-    h = assemble_hamiltonian(build_ring(6), 0.4, CouplingSeries.exp())
+    amplitudes = propagator(build_ring(6), 0.4, CouplingSeries.exp())
     psi0 = localized_state(6, 0)
-    assert np.max(np.abs(evolve(h, psi0, 0.0) - psi0)) < 1e-12
-    psi = evolve(h, psi0, 3.1)
+    assert np.max(np.abs(amplitudes(psi0, [0.0])[0] - psi0)) < 1e-12
+    psi = amplitudes(psi0, [3.1])[0]
     assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
-    # complex Hermitian input goes through the same eigenbasis path
-    rng = np.random.default_rng(4)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    m = m + m.conj().T
-    w, v = np.linalg.eigh(m)
-    oracle = v @ (np.exp(-1j * w * 1.7) * (v.conj().T @ psi0))
-    assert np.max(np.abs(evolve(HermitianOperator(m), psi0, 1.7) - oracle)) < 1e-12
 
 
 def test_run_walk_routes_agree():
@@ -131,6 +118,9 @@ def test_walk_result_contract():
     bad[5] *= 2.0
     with pytest.raises(NormalizationError):
         WalkResult(res.label, res.alpha, res.times, bad)
+    # a NaN row has a NaN defect, which must not pass the gate
+    with pytest.raises(NormalizationError):
+        WalkResult("x", 0.0, [0.0], [[np.nan, 1.0]])
 
 
 def test_directed_ring_is_chiral_but_probability_mirrors():
@@ -145,7 +135,7 @@ def test_directed_ring_is_chiral_but_probability_mirrors():
 
 def test_uniform_state_is_stationary_on_circulant():
     res = run_walk(
-        ring_spec(9), 0.7, CouplingSeries.exp(), uniform_state(9), TimeGrid(0, 6, 30)
+        ring_spec(9), 0.7, CouplingSeries.exp(), np.full(9, 1 / 3, dtype=complex), TimeGrid(0, 6, 30)
     )
     assert np.max(np.abs(res.probabilities - 1 / 9)) < 1e-12
 
@@ -171,19 +161,6 @@ def test_arrival_time():
         arrival_time(res, 0, threshold=0.0)
     with pytest.raises(ValueError):
         arrival_time(res, 0, threshold=1.5)
-
-
-def test_sweep_alpha_matches_individual_runs():
-    alphas = [0.0, math.pi / 4, math.pi / 2]
-    grid = TimeGrid(0.0, 4.0, 30)
-    series = CouplingSeries.exp()
-    swept = sweep_alpha(ring_spec(6), alphas, series, 0, grid)
-    assert [r.alpha for r in swept] == alphas
-    for res, alpha in zip(swept, alphas):
-        solo = run_walk(ring_spec(6), alpha, series, 0, grid)
-        assert np.array_equal(res.probabilities, solo.probabilities)
-    with pytest.raises(ValueError):
-        sweep_alpha(ring_spec(6), [], series, 0, grid)
 
 
 def test_run_walk_rejects_unknown_topology():
