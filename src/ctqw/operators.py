@@ -191,19 +191,38 @@ class EigenSystem:
     vectors: np.ndarray
 
 
-def propagate(values, phi, times, to_nodes) -> np.ndarray:
-    """Amplitudes of exp(-iHt) psi0 on a whole time grid, shape (T, N).
+def propagate(values, phi, grid, to_nodes, visit=None):
+    """Amplitudes of exp(-iHt) psi0 on a uniform ``TimeGrid``, shape (T, N).
 
-    ``values`` are the eigenvalues of H, ``phi`` is psi0 in its eigenbasis,
+    ``values`` are the eigenvalues w of H, ``phi`` is psi0 in its eigenbasis,
     and ``to_nodes`` maps a block of eigenbasis rows back to node rows.  The
-    grid is walked in chunks of TIME_CHUNK rows, so the scratch memory beyond
-    the (T, N) result is O(N * TIME_CHUNK).
+    grid is walked in chunks of TIME_CHUNK rows.  One (TIME_CHUNK, N) offset
+    table exp(-i w j dt) is built per call, and the phase block of the chunk
+    starting at grid time t_c is that table times the head exp(-i w t_c).
+    Scratch beyond the (T, N) result is O(N * TIME_CHUNK).
+
+    With ``visit``, ``phi`` is an (S, N) stack of states that share each
+    phase block: chunk ``rows`` of state s is passed as
+    ``visit(s, rows, amplitudes)`` and nothing is kept or returned, so the
+    scratch stays O(N * TIME_CHUNK) whatever S.
     """
-    times = np.asarray(times, dtype=float)
-    amps = np.empty((times.size, phi.shape[0]), dtype=complex)
+    times = grid.times()
+    phi = np.atleast_2d(phi)
+    amps = None
+    if visit is None:
+        amps = np.empty((times.size, phi.shape[1]), dtype=complex)
+
+        def visit(_, rows, block):
+            amps[rows] = block
+
+    # np.linspace's own step, so t_c + j dt lies within ~ulp(t) of the grid point it stands for
+    dt = (grid.t_end - grid.t_start) / max(times.size - 1, 1)
+    offsets = np.exp(-1j * np.outer(np.arange(min(TIME_CHUNK, times.size)) * dt, values))
     for start in range(0, times.size, TIME_CHUNK):
-        chunk = slice(start, start + TIME_CHUNK)
-        amps[chunk] = to_nodes(np.exp(-1j * np.outer(times[chunk], values)) * phi)
+        rows = slice(start, min(start + TIME_CHUNK, times.size))
+        phase = offsets[: rows.stop - start] * np.exp(-1j * times[start] * values)
+        for s, state in enumerate(phi):
+            visit(s, rows, to_nodes(phase * state))
     return amps
 
 

@@ -14,8 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CirculantSpec, DirectedGraph, bipartition, weakly_connected_components
-from .operators import CouplingSeries
-from .walk import DEFAULT_TIME_GRID, TimeGrid, WalkResult, localized_state, propagator, run_walk
+from .operators import TIME_CHUNK, CouplingSeries
+from .walk import (
+    DEFAULT_TIME_GRID,
+    ROW_NORM_TOL,
+    NormalizationError,
+    TimeGrid,
+    propagator,
+    run_walk,
+)
 
 TOL_SUPPRESSION = 1e-10
 TOL_MIRROR = 1e-9
@@ -94,13 +101,28 @@ def check_transport_suppression(
                 )
     label = label or _default_label(graph_or_spec)
     amplitudes = propagator(graph_or_spec, HALF_PI, series)
-    times = grid.times()
     deviation = 0.0
-    for start in starts:
-        psi0 = localized_state(graph.n, start)
-        result = WalkResult(label, HALF_PI, times, amplitudes(psi0, times))
+
+    def reduce(start, amps):
+        # each start's chunk shrinks at once to its row-norm defect and its largest
+        # cross-partition probability, so no (T, N, S) array is ever held
+        nonlocal deviation
+        probs = np.abs(amps) ** 2
+        defect = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+        if not defect <= ROW_NORM_TOL:
+            raise NormalizationError(
+                f"walk from node {start}: probability rows deviate from 1 by "
+                f"{defect:.3e} (> {ROW_NORM_TOL:g})"
+            )
         if others:
-            deviation = max(deviation, float(result.probabilities[:, others].max()))
+            deviation = max(deviation, float(probs[:, others].max()))
+
+    # starts go TIME_CHUNK at a time, so their eigenbasis stack is no larger than a chunk
+    for first in range(0, len(starts), TIME_CHUNK):
+        group = starts[first : first + TIME_CHUNK]
+        states = np.zeros((len(group), graph.n), dtype=complex)
+        states[np.arange(len(group)), group] = 1.0
+        amplitudes(states, grid, lambda s, _, amps: reduce(group[s], amps))
     return PropertyReport("suppression", label, deviation, TOL_SUPPRESSION)
 
 

@@ -78,16 +78,19 @@ def circulant_amplitudes(
     alpha: float,
     series: CouplingSeries,
     psi0: np.ndarray,
-    times: np.ndarray,
-) -> np.ndarray:
-    """Amplitudes of exp(-iHt) psi0 on a whole time grid, shape (T, N).
+    grid,
+    visit=None,
+) -> np.ndarray | None:
+    """Amplitudes of exp(-iHt) psi0 on a ``TimeGrid``, shape (T, N).
 
     One FFT of psi0 serves every grid point: U(t) psi0 is the first column of
-    the circulant with spectrum exp(-i D t) fft(psi0).  ``propagate`` takes
-    one batched inverse FFT per chunk of TIME_CHUNK time rows, so the cost is
-    O(T N log N) time and O(N * TIME_CHUNK) scratch memory beyond the (T, N)
-    result.
+    the circulant with spectrum exp(-i D t) fft(psi0).  ``propagate`` builds
+    one phase table per call and takes one batched inverse FFT per chunk of
+    TIME_CHUNK time rows, so the cost is O(T N log N) time and
+    O(N * TIME_CHUNK) scratch memory beyond the (T, N) result.  With
+    ``visit``, ``psi0`` is an (S, N) stack of states streamed as in
+    ``propagate``.
     """
     d = circulant_hamiltonian_spectrum(c, alpha, series)
     phi = np.fft.fft(np.asarray(psi0, dtype=complex))
-    return propagate(d, phi, times, circulant_column)
+    return propagate(d, phi, grid, circulant_column, visit)

@@ -8,6 +8,8 @@ eigendecomposition per (graph, alpha, series).
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,19 +36,35 @@ class NormalizationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid with ``steps`` points from t_start to t_end (eV^-1)."""
+    """Uniform time grid with ``steps`` points from t_start to t_end (eV^-1).
+
+    Endpoints are stored as float and ``steps`` as int; booleans, strings
+    and non-integral step counts are rejected.
+    """
 
     t_start: float = 0.0
     t_end: float = 25.0
     steps: int = 500
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
+        raw = (self.t_start, self.t_end, self.steps)
+        if any(isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real) for v in raw):
+            raise ValueError(f"time grid fields must be real numbers, got {raw!r}")
+        try:
+            t_start, t_end, steps = (float(v) for v in raw)
+        except OverflowError:
+            raise ValueError(f"time grid fields must fit a float, got {raw!r}") from None
+        if not (math.isfinite(t_start) and math.isfinite(t_end)):
             raise ValueError("time grid endpoints must be finite")
-        if self.t_end < self.t_start:
+        if t_end < t_start:
             raise ValueError("time grid must have t_end >= t_start")
-        if self.steps < 1:
+        if not steps.is_integer():
+            raise ValueError(f"time grid steps must be a whole number, got {self.steps!r}")
+        if steps < 1:
             raise ValueError("time grid needs at least one step")
+        object.__setattr__(self, "t_start", t_start)
+        object.__setattr__(self, "t_end", t_end)
+        object.__setattr__(self, "steps", int(steps))
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.steps)
@@ -120,11 +138,11 @@ def _real_matmul(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (v @ np.ascontiguousarray(x).view(float)).view(complex)
 
 
-def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, times) -> np.ndarray:
+def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, grid: TimeGrid, visit=None):
     # V is real (every assembled H is float64), so it is never cast to a complex N x N copy
     v = es.vectors
-    phi = _real_matmul(v.T, psi0[:, None])[:, 0]
-    return propagate(es.values, phi, times, lambda rows: _real_matmul(v, rows.T).T)
+    phi = _real_matmul(v.T, np.atleast_2d(psi0).T).T
+    return propagate(es.values, phi, grid, lambda rows: _real_matmul(v, rows.T).T, visit)
 
 
 def _as_state(initial, n: int) -> np.ndarray:
@@ -140,17 +158,22 @@ def _label(graph_or_spec) -> str:
 
 
 def propagator(graph_or_spec, alpha: float, series: CouplingSeries):
-    """Walk amplitudes for one (graph, alpha, series) as ``(psi0, times) -> (T, N)``.
+    """Walk amplitudes for one (graph, alpha, series) as ``(psi0, grid) -> (T, N)``.
 
     A directed graph's Hamiltonian is diagonalized once, here, for every
     later call; a circulant spec's Fourier spectrum costs one length-N FFT
-    per call.  ``psi0`` must be a normalized state of the right size.
+    per call.  ``psi0`` must be a normalized state of the right size and
+    ``grid`` a ``TimeGrid``.  A third argument ``visit`` streams an (S, N)
+    stack of states instead, every state sharing each chunk's phase block
+    (see ``propagate``).
     """
     if isinstance(graph_or_spec, CirculantSpec):
-        return lambda psi0, times: circulant_amplitudes(graph_or_spec, alpha, series, psi0, times)
+        return lambda psi0, grid, visit=None: circulant_amplitudes(
+            graph_or_spec, alpha, series, psi0, grid, visit
+        )
     if isinstance(graph_or_spec, DirectedGraph):
         es = hermitian_eigendecomposition(assemble_hamiltonian(graph_or_spec, alpha, series))
-        return lambda psi0, times: _dense_amplitudes(es, psi0, times)
+        return lambda psi0, grid, visit=None: _dense_amplitudes(es, psi0, grid, visit)
     raise TypeError(f"expected DirectedGraph or CirculantSpec, got {type(graph_or_spec)!r}")
 
 
@@ -167,8 +190,7 @@ def run_walk(
     """
     amplitudes = propagator(graph_or_spec, alpha, series)
     psi0 = _as_state(initial, graph_or_spec.n)
-    times = grid.times()
-    return WalkResult(_label(graph_or_spec), float(alpha), times, amplitudes(psi0, times))
+    return WalkResult(_label(graph_or_spec), float(alpha), grid.times(), amplitudes(psi0, grid))
 
 
 def arrival_time(

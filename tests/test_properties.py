@@ -1,14 +1,19 @@
 """Property harness: suppression, mirrors, stationarity, edge cancellation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ctqw.spectral
+import ctqw.walk
 from ctqw import (
     CirculantSpec,
     CouplingSeries,
     DirectedGraph,
+    EigenSystem,
+    NormalizationError,
     PropertyReport,
     TimeGrid,
     bipartition,
@@ -24,6 +29,7 @@ from ctqw import (
     random_directed_graph,
     random_polynomial_series,
     ring_spec,
+    run_walk,
 )
 
 EXP = CouplingSeries.exp()
@@ -162,6 +168,70 @@ def test_suppression_diagonalizes_once_for_all_starts(monkeypatch, n):
     rep = check_transport_suppression(build_moebius_ladder(n), EXP, TimeGrid(0.0, 5.0, 20))
     assert rep.passed, rep.line()
     assert calls == [(n, n), (n, n)]
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        build_moebius_ladder(10),
+        moebius_spec(10),
+        random_bipartite_graph(np.random.default_rng(2024), max_nodes=16),
+    ],
+    ids=["dense-moebius10", "fourier-moebius10", "random-bipartite"],
+)
+def test_suppression_matches_a_walk_per_start(instance):
+    # the starts share each chunk's phase block; each one alone must see the same field
+    grid = TimeGrid(0.0, 12.0, 150)
+    parts = bipartition(instance.to_graph() if isinstance(instance, CirculantSpec) else instance)
+    per_start = max(
+        float(run_walk(instance, math.pi / 2, EXP, start, grid).probabilities[:, parts.odd].max())
+        for start in parts.even
+    )
+    rep = check_transport_suppression(instance, EXP, grid)
+    assert abs(rep.deviation - per_start) <= 1e-15
+
+
+def test_suppression_gates_each_start_on_its_own(monkeypatch):
+    # Row k of V is scaled, so at t = 0 only the walk from node k loses its
+    # norm.  The ladder has 75 starts, more than one TIME_CHUNK group, and k
+    # is the last of them.
+    graph = build_moebius_ladder(150)
+    k = bipartition(graph).even[-1]
+    solve = ctqw.walk.hermitian_eigendecomposition
+
+    def skewed(op):
+        es = solve(op)
+        return EigenSystem(es.values, es.vectors * np.where(np.arange(op.n) == k, 1.001, 1.0)[:, None])
+
+    monkeypatch.setattr(ctqw.walk, "hermitian_eigendecomposition", skewed)
+    with pytest.raises(NormalizationError, match=f"walk from node {k}:"):
+        check_transport_suppression(graph, EXP, TimeGrid(0.0, 0.0, 1))
+
+
+def test_suppression_rejects_a_growing_fourier_mode(monkeypatch):
+    spectrum = ctqw.spectral.circulant_hamiltonian_spectrum
+    monkeypatch.setattr(
+        ctqw.spectral,
+        "circulant_hamiltonian_spectrum",
+        lambda c, alpha, series: spectrum(c, alpha, series) + 1e-3j * (np.arange(c.n) == 1),
+    )
+    with pytest.raises(NormalizationError, match="walk from node"):
+        check_transport_suppression(moebius_spec(10), EXP)
+
+
+def test_suppression_scratch_is_a_few_chunks():
+    # 51 starts on the 102-node directed Moebius ladder share each phase block;
+    # holding every start's chunk at once would take about 23 MiB
+    graph = build_moebius_ladder(102)
+    check_transport_suppression(graph, EXP)
+    tracemalloc.start()
+    try:
+        rep = check_transport_suppression(graph, EXP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.line()
+    assert peak < 4 * 2**20
 
 
 def test_random_bipartite_graph_generator():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ctqw import (
     CirculantSpec,
     CouplingSeries,
+    TimeGrid,
     assemble_hamiltonian,
     circulant_ah_spectrum,
     circulant_amplitudes,
@@ -21,6 +22,8 @@ from ctqw import (
     hermitian_adjacency,
     hermitian_eigendecomposition,
     localized_state,
+    moebius_spec,
+    propagator,
     ring_spec,
 )
 from ctqw.operators import TIME_CHUNK
@@ -127,10 +130,10 @@ def test_amplitudes_grid_matches_single_steps():
     series = CouplingSeries.exp()
     alpha = math.pi / 4
     psi0 = localized_state(8, 2)
-    times = np.linspace(0.0, 3.0, 7)
-    amps = circulant_amplitudes(spec, alpha, series, psi0, times)
+    grid = TimeGrid(0.0, 3.0, 7)
+    amps = circulant_amplitudes(spec, alpha, series, psi0, grid)
     assert amps.shape == (7, 8)
-    for k, t in enumerate(times):
+    for k, t in enumerate(grid.times()):
         step = circulant_evolution(spec, alpha, series, float(t)) @ psi0
         assert np.max(np.abs(amps[k] - step)) < 1e-12
 
@@ -172,14 +175,44 @@ def test_amplitudes_match_dense_fourier_oracle(n, steps):
     spec = _spec_for(n)
     series = CouplingSeries.exp()
     alpha = 0.7
-    times = np.linspace(0.25, 3.0, steps)
+    grid = TimeGrid(0.25, 3.0, steps)
     s = fourier_basis(n)
     d = circulant_hamiltonian_spectrum(spec, alpha, series)
     for psi0 in (localized_state(n, n // 2), _superposition(n)):
-        amps = circulant_amplitudes(spec, alpha, series, psi0, times)
+        amps = circulant_amplitudes(spec, alpha, series, psi0, grid)
         assert amps.shape == (steps, n)
-        oracle = (s @ (np.exp(-1j * np.outer(d, times)) * (s.conj().T @ psi0)[:, None])).T
+        oracle = (s @ (np.exp(-1j * np.outer(d, grid.times())) * (s.conj().T @ psi0)[:, None])).T
         assert np.max(np.abs(amps - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, series, grid",
+    [
+        (moebius_spec(64), CouplingSeries.exp(), TimeGrid(0.0, 1000.0, 4001)),
+        (ring_spec(97), CouplingSeries.cosh(), TimeGrid(3.7, 400.0, 777)),
+    ],
+    ids=["moebius64-exp", "ring97-cosh"],
+)
+def test_phase_table_matches_direct_exp_on_long_grids(spec, series, grid):
+    # propagate builds each chunk's phases as exp(-i w t_c) exp(-i w j dt); the
+    # oracles evaluate exp(-i w t) at every grid time.  Both engines are held to
+    # criterion 1's rounding floor of the phase, eps (1 + |x|) max|E| t_end, with
+    # x the largest |eigenvalue| of A_H, the argument of J.
+    alpha = 0.3
+    eps = np.finfo(float).eps
+    times = grid.times()
+    psi0 = _superposition(spec.n)
+    x = np.max(np.abs(circulant_ah_spectrum(spec, alpha)))
+    d = circulant_hamiltonian_spectrum(spec, alpha, series)
+    bound = eps * (1 + x) * np.max(np.abs(d)) * grid.t_end
+    fourier = np.fft.ifft(np.exp(-1j * np.outer(times, d)) * np.fft.fft(psi0), axis=1)
+    amps = circulant_amplitudes(spec, alpha, series, psi0, grid)
+    assert np.max(np.abs(amps - fourier)) < bound
+    graph = spec.to_graph()
+    es = hermitian_eigendecomposition(assemble_hamiltonian(graph, alpha, series))
+    v = es.vectors
+    eigenbasis = (v @ (np.exp(-1j * np.outer(es.values, times)) * (v.T @ psi0)[:, None])).T
+    assert np.max(np.abs(propagator(graph, alpha, series)(psi0, grid) - eigenbasis)) < bound
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 97, 1000])
@@ -204,20 +237,15 @@ def test_circulant_column_is_first_column_of_dense_circulant(n):
         assert np.max(np.abs(dense - column[np.subtract.outer(k, k) % n])) < 1e-12
 
 
-def test_amplitudes_empty_grid():
-    amps = circulant_amplitudes(ring_spec(5), 0.3, CouplingSeries.exp(), localized_state(5, 0), [])
-    assert amps.shape == (0, 5)
-
-
 def test_amplitudes_scratch_memory_is_linear_in_n():
     # a single N x N complex table at N = 4096 would take 256 MiB
     n = 4096
     spec = ring_spec(n)
     psi0 = localized_state(n, 0)
-    times = np.linspace(0.0, 1.0, 4)
+    grid = TimeGrid(0.0, 1.0, 4)
     tracemalloc.start()
     try:
-        circulant_amplitudes(spec, 0.4, CouplingSeries.exp(), psi0, times)
+        circulant_amplitudes(spec, 0.4, CouplingSeries.exp(), psi0, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -229,12 +257,12 @@ def test_amplitudes_scratch_memory_is_bounded_by_the_chunk():
     # chunk-sized buffers; one batched (T, N) transform would need several
     # result-sized ones (32 MiB each here).
     n = 2048
-    times = np.linspace(0.0, 5.0, 16 * TIME_CHUNK)
+    grid = TimeGrid(0.0, 5.0, 16 * TIME_CHUNK)
     chunk_bytes = TIME_CHUNK * n * 16
     tracemalloc.start()
     try:
         amps = circulant_amplitudes(
-            ring_spec(n), 0.4, CouplingSeries.exp(), localized_state(n, 0), times
+            ring_spec(n), 0.4, CouplingSeries.exp(), localized_state(n, 0), grid
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:

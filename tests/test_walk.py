@@ -31,7 +31,20 @@ def test_time_grid_contract():
     assert np.allclose(grid.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
     single = TimeGrid(1.0, 1.0, 1)
     assert np.allclose(single.times(), [1.0])
-    for bad in ((0.0, -1.0, 5), (0.0, 1.0, 0), (float("nan"), 1.0, 5)):
+    whole = TimeGrid(0, np.int64(25), 5.0)
+    assert whole == TimeGrid(0.0, 25.0, 5)
+    assert [type(v) for v in (whole.t_start, whole.t_end, whole.steps)] == [float, float, int]
+    for bad in (
+        (0.0, -1.0, 5),
+        (0.0, 1.0, 0),
+        (float("nan"), 1.0, 5),
+        (0, 25, True),
+        (False, 1.0, 3),
+        (0, 25, 2.5),
+        ("0", 25, 5),
+        (0, 25, float("nan")),
+        (0, 10**400, 5),
+    ):
         with pytest.raises(ValueError):
             TimeGrid(*bad)
 
@@ -50,8 +63,8 @@ def test_state_builders():
 def test_evolve_basics():
     amplitudes = propagator(build_ring(6), 0.4, CouplingSeries.exp())
     psi0 = localized_state(6, 0)
-    assert np.max(np.abs(amplitudes(psi0, [0.0])[0] - psi0)) < 1e-12
-    psi = amplitudes(psi0, [3.1])[0]
+    assert np.max(np.abs(amplitudes(psi0, TimeGrid(0.0, 0.0, 1))[0] - psi0)) < 1e-12
+    psi = amplitudes(psi0, TimeGrid(3.1, 3.1, 1))[0]
     assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
 
 
@@ -98,14 +111,35 @@ def test_dense_walk_scratch_stays_below_one_complex_matrix():
     n = 500
     amplitudes = propagator(build_ring(n), 0.4, CouplingSeries.exp())
     psi0 = localized_state(n, 3)
-    times = np.linspace(0.0, 5.0, 8 * TIME_CHUNK)
+    grid = TimeGrid(0.0, 5.0, 8 * TIME_CHUNK)
     tracemalloc.start()
     try:
-        amps = amplitudes(psi0, times)
+        amps = amplitudes(psi0, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - amps.nbytes < n * n * 16
+
+
+@pytest.mark.parametrize("spec", [ring_spec(9), moebius_spec(10)], ids=["ring9", "moebius10"])
+@pytest.mark.parametrize("dense", [False, True], ids=["fourier", "dense"])
+def test_streamed_states_match_single_walks(spec, dense):
+    # a stack of states shares each chunk's phase block; every state's chunks
+    # must be the rows its own walk returns
+    alpha, series = 0.7, CouplingSeries.polynomial([0.2, 1.0, -0.3])
+    amplitudes = propagator(spec.to_graph() if dense else spec, alpha, series)
+    grid = TimeGrid(0.5, 9.0, 2 * TIME_CHUNK + 5)
+    rng = np.random.default_rng(spec.n)
+    states = rng.normal(size=(3, spec.n)) + 1j * rng.normal(size=(3, spec.n))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    streamed = np.full((3, grid.steps, spec.n), np.nan, dtype=complex)
+
+    def keep(s, rows, amps):
+        streamed[s, rows] = amps
+
+    assert amplitudes(states, grid, keep) is None
+    for state, field in zip(states, streamed):
+        assert np.max(np.abs(field - amplitudes(state, grid))) <= 1e-15
 
 
 def test_walk_result_contract():
