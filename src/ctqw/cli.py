@@ -73,17 +73,12 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _config_int(cfg, key: str, context: str, default: int | None = None) -> int:
-    """Read an integer field; integral floats pass, bools and fractions do not."""
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"{context}: missing '{key}'")
-        return default
-    value = cfg[key]
+def _config_int(value, what: str) -> int:
+    """Read an integer; integral floats pass, bools, fractions and strings do not."""
     if isinstance(value, bool) or not (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
-        raise ConfigError(f"{context}: '{key}' must be an integer, got {value!r}")
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -104,12 +99,9 @@ def _build_graph(cfg, context: str = "graph"):
     directed = cfg.get("directed", True)
     if not isinstance(directed, bool):
         raise ConfigError(f"{context}: 'directed' must be a boolean")
-    if family == "star":
-        return build_star(_config_int(cfg, "size", context), directed)
-    if family == "ring":
-        return ring_spec(_config_int(cfg, "size", context), directed)
-    if family == "moebius":
-        return moebius_spec(_config_int(cfg, "size", context), directed)
+    builders = {"star": build_star, "ring": ring_spec, "moebius": moebius_spec}
+    if family in builders:
+        return builders[family](_config_int(cfg.get("size"), f"{context}: 'size'"), directed)
     if family == "circulant":
         coeffs = cfg.get("coefficients")
         if not isinstance(coeffs, list):
@@ -162,11 +154,13 @@ def _build_grid(cfg) -> TimeGrid:
     if cfg is None:
         return DEFAULT_TIME_GRID
     _check_keys(cfg, {"start", "end", "steps"}, "time_grid")
-    return TimeGrid(
-        _config_number(cfg.get("start", DEFAULT_TIME_GRID.t_start), "time_grid: 'start'"),
-        _config_number(cfg.get("end", DEFAULT_TIME_GRID.t_end), "time_grid: 'end'"),
-        _config_int(cfg, "steps", "time_grid", DEFAULT_TIME_GRID.steps),
-    )
+    start = _config_number(cfg.get("start", DEFAULT_TIME_GRID.t_start), "time_grid: 'start'")
+    end = _config_number(cfg.get("end", DEFAULT_TIME_GRID.t_end), "time_grid: 'end'")
+    steps = _config_int(cfg.get("steps", DEFAULT_TIME_GRID.steps), "time_grid: 'steps'")
+    try:
+        return TimeGrid(start, end, steps)
+    except ValueError as exc:
+        raise ConfigError(f"time_grid: {exc}") from None
 
 
 def _parse_alphas(cfg) -> list[float]:
@@ -253,7 +247,7 @@ def cmd_walk(args) -> int:
     graph = _build_graph(cfg["graph"])
     series = _build_series(cfg.get("coupling"))
     grid = _build_grid(cfg.get("time_grid"))
-    initial = _config_int(cfg, "initial_node", "config", 0)
+    initial = _config_int(cfg.get("initial_node", 0), "config: 'initial_node'")
     output = cfg.get("output", {})
     _check_keys(output, {"csv", "heatmap", "scale", "amplitudes"}, "output")
     include_amps, scale = bool(output.get("amplitudes", False)), output.get("scale", "linear")
@@ -277,113 +271,104 @@ def cmd_walk(args) -> int:
     return 0
 
 
-_DEFAULT_SUPPRESSION_INSTANCES = (
-    ("star-n5", {"family": "star", "size": 5, "directed": True}),
-    ("ring-n6", {"family": "ring", "size": 6, "directed": True}),
-    ("moebius-n10", {"family": "moebius", "size": 10, "directed": True}),
+_DEFAULT_SUPPRESSION_GRAPHS = (
+    {"family": "star", "size": 5},
+    {"family": "ring", "size": 6},
+    {"family": "moebius", "size": 10},
 )
 
-_CHECK_TOLERANCES = {
-    "suppression": TOL_SUPPRESSION,
-    "suppression-random": TOL_SUPPRESSION,
-    "mirror": TOL_MIRROR,
-    "stationary": TOL_STATIONARY,
-    "cancellation": TOL_CANCELLATION,
+# property -> (default tolerance, the keys its check reads besides "property",
+# "tolerance" and "time_grid", the required ones among them)
+_CHECKS = {
+    "suppression": (TOL_SUPPRESSION, {"graph", "coupling", "partition"}, set()),
+    "suppression-random": (TOL_SUPPRESSION, {"count", "max_nodes", "max_degree"}, set()),
+    "mirror": (
+        TOL_MIRROR,
+        {"graph", "coupling", "deltas", "initial_node", "half_pi"},
+        {"graph", "deltas"},
+    ),
+    "stationary": (TOL_STATIONARY, {"graph", "coupling", "initial_node"}, {"graph"}),
+    "cancellation": (
+        TOL_CANCELLATION,
+        {"graph", "graph_b", "coupling", "initial_node"},
+        {"graph", "graph_b"},
+    ),
 }
+_CHECK_INT_DEFAULTS = {"initial_node": 0, "count": 20, "max_nodes": 16, "max_degree": 5}
+
+
+def _config_list(cfg, key: str, parse, context: str):
+    """Each entry of an optional list field through ``parse``; None when absent."""
+    if key not in cfg:
+        return None
+    if not isinstance(cfg[key], list):
+        raise ConfigError(f"{context}: '{key}' must be a list, got {cfg[key]!r}")
+    return [parse(entry, f"{context}: '{key}' entry") for entry in cfg[key]]
+
+
+def _config_phase(token, what: str) -> float:
+    try:
+        return parse_phase(token)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
-    _check_keys(
-        check_cfg,
-        {
-            "property",
-            "graph",
-            "graph_b",
-            "coupling",
-            "deltas",
-            "initial_node",
-            "partition",
-            "half_pi",
-            "count",
-            "max_nodes",
-            "max_degree",
-            "tolerance",
-            "time_grid",
-        },
-        "check",
-    )
-    prop = check_cfg.get("property")
-    if prop not in _CHECK_TOLERANCES:
-        raise ConfigError(
-            f"check: unknown property {prop!r}; expected one of {sorted(_CHECK_TOLERANCES)}"
-        )
-    # checked before any walk runs: malformed exits 1, loosening is a rejected line
-    default = _CHECK_TOLERANCES[prop]
-    tol = _config_number(check_cfg.get("tolerance", default), "check: 'tolerance'")
-    if not (0.0 <= tol <= default):
-        raise ValueError(f"tolerance may only tighten the default {default:g}, got {tol:g}")
+    """Parse a check against its ``_CHECKS`` row, then run its walks.
+
+    Malformed fields raise ConfigError before any walk runs; a loosened
+    tolerance, an ineligible instance or a failed random draw raise a plain
+    ValueError, which ``verify`` reports as a rejected line.
+    """
+    if not isinstance(check_cfg, dict) or check_cfg.get("property") not in _CHECKS:
+        raise ConfigError(f"check: expected an object with 'property' one of {sorted(_CHECKS)}")
+    prop = check_cfg["property"]
+    default, reads, required = _CHECKS[prop]
+    context = f"{prop} check"
+    _check_keys(check_cfg, {"property", "tolerance", "time_grid", *reads}, context)
+    missing = sorted(required - check_cfg.keys())
+    if missing:
+        raise ConfigError(f"{context}: missing {missing}")
+    tol = _config_number(check_cfg.get("tolerance", default), f"{context}: 'tolerance'")
     series = _build_series(check_cfg.get("coupling"))
     if "time_grid" in check_cfg:
         grid = _build_grid(check_cfg["time_grid"])
-    initial = _config_int(check_cfg, "initial_node", "check", 0)
-    reports: list[PropertyReport] = []
-    if prop == "suppression":
-        if "graph" in check_cfg:
-            instances = [(_graph_label(check_cfg["graph"]), check_cfg["graph"])]
-        else:
-            instances = list(_DEFAULT_SUPPRESSION_INSTANCES)
-        for label, graph_cfg in instances:
-            graph = _build_graph(graph_cfg)
-            partition = check_cfg.get("partition")
-            reports.append(
-                check_transport_suppression(graph, series, grid, partition, label)
-            )
-    elif prop == "suppression-random":
-        count = _config_int(check_cfg, "count", "check", 20)
-        max_nodes = _config_int(check_cfg, "max_nodes", "check", 16)
-        max_degree = _config_int(check_cfg, "max_degree", "check", 5)
+    initial, count, max_nodes, max_degree = (
+        _config_int(check_cfg.get(key, fallback), f"{context}: '{key}'")
+        for key, fallback in _CHECK_INT_DEFAULTS.items()
+    )
+    deltas = _config_list(check_cfg, "deltas", _config_phase, context)
+    partition = _config_list(check_cfg, "partition", _config_int, context)
+    half_pi = check_cfg.get("half_pi")
+    if "half_pi" in check_cfg and not isinstance(half_pi, bool):
+        raise ConfigError(f"{context}: 'half_pi' must be a boolean, got {half_pi!r}")
+    keys = [key for key in ("graph", "graph_b") if key in check_cfg]
+    graphs = [_build_graph(check_cfg[key], key) for key in keys]
+    labels = ["|".join(_graph_label(check_cfg[key]) for key in keys)]
+    if not (0.0 <= tol <= default):
+        raise ValueError(f"tolerance may only tighten the default {default:g}, got {tol:g}")
+    if prop == "mirror":
+        reports = [check_mirror_symmetries(*graphs, series, deltas, initial, grid, half_pi)]
+    elif prop == "stationary":
+        reports = [check_stationary_at_half_pi(*graphs, series, initial, grid)]
+    elif prop == "cancellation":
+        reports = [check_bidirected_edge_cancellation(*graphs, series, initial, grid)]
+    elif prop == "suppression" and graphs:
+        reports = [check_transport_suppression(*graphs, series, grid, partition)]
+    elif prop == "suppression":
+        labels = [_graph_label(cfg) for cfg in _DEFAULT_SUPPRESSION_GRAPHS]
+        graphs = [_build_graph(cfg) for cfg in _DEFAULT_SUPPRESSION_GRAPHS]
+        reports = [check_transport_suppression(g, series, grid, partition) for g in graphs]
+    else:
         base = seed if seed is not None else 0
+        labels, reports = [], []
         for k in range(count):
             rng = np.random.default_rng((base, k))
             graph = random_bipartite_graph(rng, max_nodes)
             poly = random_polynomial_series(rng, max_degree)
-            label = f"random-bipartite-n{graph.n}-seed{base}.{k}"
-            reports.append(check_transport_suppression(graph, poly, grid, None, label))
-    elif prop == "mirror":
-        if "graph" not in check_cfg or "deltas" not in check_cfg:
-            raise ConfigError("mirror check needs 'graph' and 'deltas'")
-        graph = _build_graph(check_cfg["graph"])
-        deltas = [parse_phase(d) for d in check_cfg["deltas"]]
-        reports.append(
-            check_mirror_symmetries(
-                graph,
-                series,
-                deltas,
-                initial,
-                grid,
-                check_cfg.get("half_pi"),
-                _graph_label(check_cfg["graph"]),
-            )
-        )
-    elif prop == "stationary":
-        if "graph" not in check_cfg:
-            raise ConfigError("stationary check needs 'graph'")
-        graph = _build_graph(check_cfg["graph"])
-        reports.append(
-            check_stationary_at_half_pi(
-                graph, series, initial, grid, _graph_label(check_cfg["graph"])
-            )
-        )
-    else:
-        if "graph" not in check_cfg or "graph_b" not in check_cfg:
-            raise ConfigError("cancellation check needs 'graph' and 'graph_b'")
-        first = _build_graph(check_cfg["graph"])
-        second = _build_graph(check_cfg["graph_b"], "graph_b")
-        label = f"{_graph_label(check_cfg['graph'])}|{_graph_label(check_cfg['graph_b'])}"
-        reports.append(
-            check_bidirected_edge_cancellation(first, second, series, initial, grid, label)
-        )
-    return [PropertyReport(r.name, r.instance, r.deviation, tol) for r in reports]
+            labels.append(f"random-bipartite-n{graph.n}-seed{base}.{k}")
+            reports.append(check_transport_suppression(graph, poly, grid))
+    return [PropertyReport(r.name, name, r.deviation, tol) for name, r in zip(labels, reports)]
 
 
 def cmd_verify(args) -> int:
@@ -396,7 +381,6 @@ def cmd_verify(args) -> int:
     lines = ["property,instance,deviation,tolerance,verdict"]
     all_ok = True
     for check_cfg in checks:
-        prop = check_cfg.get("property", "?") if isinstance(check_cfg, dict) else "?"
         try:
             for report in _run_check(check_cfg, grid, args.seed):
                 lines.append(report.line())
@@ -404,9 +388,9 @@ def cmd_verify(args) -> int:
         except ConfigError:
             raise
         except ValueError as exc:
-            tol = _CHECK_TOLERANCES.get(prop, float("nan"))
+            prop = check_cfg["property"]  # a check gets this far only with a known property
             reason = str(exc).replace(",", ";")
-            lines.append(f"{prop},rejected: {reason},nan,{tol:g},rejected")
+            lines.append(f"{prop},rejected: {reason},nan,{_CHECKS[prop][0]:g},rejected")
             all_ok = False
     for line in lines:
         print(line)

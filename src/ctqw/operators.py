@@ -15,6 +15,7 @@ conjugate and H is always real symmetric.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -40,13 +41,18 @@ class EigendecompositionError(ArithmeticError):
 def parse_phase(token) -> float:
     """Parse a phase value from a number or a symbolic token.
 
-    Accepts plain numbers, numeric strings, and pi fractions such as
-    ``"pi"``, ``"pi/2"``, ``"3pi/4"``, ``"-pi/3"``, ``"0.5pi"``.
+    Accepts real numbers (NumPy scalars included, bools not), numeric
+    strings, and pi fractions such as ``"pi"``, ``"pi/2"``, ``"3pi/4"``,
+    ``"-pi/3"``, ``"0.5pi"``.  Anything else, or a value that is not a
+    finite float, raises ValueError.
     """
     if isinstance(token, bool):
         raise ValueError(f"not a phase: {token!r}")
-    if isinstance(token, (int, float)):
-        value = float(token)
+    if isinstance(token, numbers.Real):
+        try:
+            value = float(token)
+        except OverflowError:
+            raise ValueError(f"phase must fit a float, got {token!r}") from None
     elif isinstance(token, str):
         text = token.strip().lower()
         m = _PI_TOKEN.match(text)
@@ -159,17 +165,6 @@ class CouplingSeries:
         if self.kind == "cosh":
             return np.cosh(x)
         return x.copy()
-
-    @property
-    def j0(self) -> float:
-        """Constant term j_0 of the series."""
-        if self.kind == "polynomial":
-            return self.coefficients[0]
-        return 1.0 if self.kind in ("exp", "cosh") else 0.0
-
-    def even_scalar(self, x):
-        """Even part above the constant term: (J(x) + J(-x))/2 - j_0."""
-        return (self.scalar(x) + self.scalar(-np.asarray(x, dtype=float))) / 2.0 - self.j0
 
     def odd_scalar(self, x):
         """Odd part: (J(x) - J(-x))/2."""

@@ -15,14 +15,7 @@ import numpy as np
 
 from .graphs import CirculantSpec, DirectedGraph, bipartition, weakly_connected_components
 from .operators import TIME_CHUNK, CouplingSeries
-from .walk import (
-    DEFAULT_TIME_GRID,
-    ROW_NORM_TOL,
-    NormalizationError,
-    TimeGrid,
-    propagator,
-    run_walk,
-)
+from .walk import DEFAULT_TIME_GRID, TimeGrid, propagator, row_norm_defect, run_walk
 
 TOL_SUPPRESSION = 1e-10
 TOL_MIRROR = 1e-9
@@ -69,7 +62,6 @@ def check_transport_suppression(
     series: CouplingSeries,
     grid: TimeGrid = DEFAULT_TIME_GRID,
     partition=None,
-    label: str | None = None,
 ) -> PropertyReport:
     """At alpha = pi/2, walks started in one partition never cross to the other.
 
@@ -99,7 +91,6 @@ def check_transport_suppression(
                 raise ValueError(
                     f"edge ({i}, {j}) joins one partition side but is not bidirected"
                 )
-    label = label or _default_label(graph_or_spec)
     amplitudes = propagator(graph_or_spec, HALF_PI, series)
     deviation = 0.0
 
@@ -108,12 +99,7 @@ def check_transport_suppression(
         # cross-partition probability, so no (T, N, S) array is ever held
         nonlocal deviation
         probs = np.abs(amps) ** 2
-        defect = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-        if not defect <= ROW_NORM_TOL:
-            raise NormalizationError(
-                f"walk from node {start}: probability rows deviate from 1 by "
-                f"{defect:.3e} (> {ROW_NORM_TOL:g})"
-            )
+        row_norm_defect(probs, f"walk from node {start}: ")
         if others:
             deviation = max(deviation, float(probs[:, others].max()))
 
@@ -123,7 +109,9 @@ def check_transport_suppression(
         states = np.zeros((len(group), graph.n), dtype=complex)
         states[np.arange(len(group)), group] = 1.0
         amplitudes(states, grid, lambda s, _, amps: reduce(group[s], amps))
-    return PropertyReport("suppression", label, deviation, TOL_SUPPRESSION)
+    return PropertyReport(
+        "suppression", _default_label(graph_or_spec), deviation, TOL_SUPPRESSION
+    )
 
 
 def _state_parity(initial, n: int) -> int | None:
@@ -146,7 +134,6 @@ def check_mirror_symmetries(
     initial=0,
     grid: TimeGrid = DEFAULT_TIME_GRID,
     half_pi_branch: bool | None = None,
-    label: str | None = None,
 ) -> PropertyReport:
     """Probability fields are even in alpha, and mirror about pi/2 on
     bipartite circulants.
@@ -185,9 +172,7 @@ def check_mirror_symmetries(
             deviation = max(
                 deviation, float(np.max(np.abs(p_plus - p_shift.probabilities)))
             )
-    return PropertyReport(
-        "mirror", label or _default_label(graph_or_spec), deviation, TOL_MIRROR
-    )
+    return PropertyReport("mirror", _default_label(graph_or_spec), deviation, TOL_MIRROR)
 
 
 def check_stationary_at_half_pi(
@@ -195,7 +180,6 @@ def check_stationary_at_half_pi(
     series: CouplingSeries,
     initial=0,
     grid: TimeGrid = DEFAULT_TIME_GRID,
-    label: str | None = None,
 ) -> PropertyReport:
     """Symmetric graphs freeze at alpha = pi/2: P(i, t) = P(i, 0) for all t."""
     if isinstance(graph_or_spec, CirculantSpec):
@@ -207,7 +191,7 @@ def check_stationary_at_half_pi(
     result = run_walk(graph_or_spec, HALF_PI, series, initial, grid)
     deviation = float(np.max(np.abs(result.probabilities - result.probabilities[0])))
     return PropertyReport(
-        "stationary", label or _default_label(graph_or_spec), deviation, TOL_STATIONARY
+        "stationary", _default_label(graph_or_spec), deviation, TOL_STATIONARY
     )
 
 
@@ -217,7 +201,6 @@ def check_bidirected_edge_cancellation(
     series: CouplingSeries,
     initial=0,
     grid: TimeGrid = DEFAULT_TIME_GRID,
-    label: str | None = None,
 ) -> PropertyReport:
     """Graphs differing only by bidirected edge pairs walk identically at pi/2."""
     g1 = _graph_of(first)
@@ -234,12 +217,8 @@ def check_bidirected_edge_cancellation(
     p1 = run_walk(first, HALF_PI, series, initial, grid).probabilities
     p2 = run_walk(second, HALF_PI, series, initial, grid).probabilities
     deviation = float(np.max(np.abs(p1 - p2)))
-    return PropertyReport(
-        "cancellation",
-        label or f"{_default_label(first)}|{_default_label(second)}",
-        deviation,
-        TOL_CANCELLATION,
-    )
+    label = f"{_default_label(first)}|{_default_label(second)}"
+    return PropertyReport("cancellation", label, deviation, TOL_CANCELLATION)
 
 
 def random_bipartite_graph(rng: np.random.Generator, max_nodes: int = 16) -> DirectedGraph:

@@ -75,6 +75,8 @@ DEFAULT_TIME_GRID = TimeGrid()
 
 def localized_state(n: int, node: int) -> np.ndarray:
     """Unit state concentrated on one node."""
+    if isinstance(node, (bool, np.bool_)):
+        raise ValueError(f"node must be an integer, got {node!r}")
     if not (0 <= node < n):
         raise ValueError(f"node {node} out of range for n={n}")
     psi = np.zeros(n, dtype=complex)
@@ -95,6 +97,20 @@ def validate_state(psi: np.ndarray, n: int | None = None) -> np.ndarray:
     return psi
 
 
+def row_norm_defect(probs: np.ndarray, where: str = "") -> float:
+    """Largest |row sum - 1| of a (rows, n) probability block.
+
+    Raises NormalizationError, its message prefixed by ``where``, when the
+    defect exceeds ROW_NORM_TOL or is NaN.
+    """
+    defect = float(np.max(np.abs(probs.sum(axis=1) - 1.0))) if probs.size else 0.0
+    if not defect <= ROW_NORM_TOL:
+        raise NormalizationError(
+            f"{where}probability rows deviate from 1 by {defect:.3e} (> {ROW_NORM_TOL:g})"
+        )
+    return defect
+
+
 @dataclass(eq=False, frozen=True)
 class WalkResult:
     """Amplitudes and probabilities of one walk over a time grid.
@@ -108,6 +124,7 @@ class WalkResult:
     times: np.ndarray
     amplitudes: np.ndarray
     probabilities: np.ndarray = field(init=False)
+    normalization_defect: float = field(init=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -115,11 +132,7 @@ class WalkResult:
         if amps.ndim != 2 or times.ndim != 1 or amps.shape[0] != times.shape[0]:
             raise ValueError("amplitudes must be (steps, n) matching the time grid")
         probs = np.abs(amps) ** 2
-        defect = float(np.max(np.abs(probs.sum(axis=1) - 1.0))) if probs.size else 0.0
-        if not defect <= ROW_NORM_TOL:
-            raise NormalizationError(
-                f"probability rows deviate from 1 by {defect:.3e} (> {ROW_NORM_TOL:g})"
-            )
+        object.__setattr__(self, "normalization_defect", row_norm_defect(probs))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "probabilities", probs)
@@ -127,10 +140,6 @@ class WalkResult:
     @property
     def n(self) -> int:
         return self.amplitudes.shape[1]
-
-    @property
-    def normalization_defect(self) -> float:
-        return float(np.max(np.abs(self.probabilities.sum(axis=1) - 1.0)))
 
 
 def _real_matmul(v: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,8 @@ def test_bad_inputs_exit_one(tmp_path):
     not_json = tmp_path / "broken.json"
     not_json.write_text("{nope")
     assert main(["simulate", "--config", str(not_json)]) == 1
+    huge_phase = simulate_cfg(alphas=[10**400])
+    assert main(["simulate", "--config", write_config(tmp_path, huge_phase)]) == 1
 
 
 @pytest.mark.parametrize(
@@ -281,6 +285,27 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
             "graph": {"family": "ring", "size": 6, "directed": False},
             "coupling": {"kind": "polynomial", "coefficients": [0, "1"]},
         },
+        {"property": "suppression", "graph": {"family": "star", "size": 4}, "partition": 5},
+        {"property": "suppression", "graph": {"family": "ring", "size": 6}, "partition": [0.5]},
+        {"property": "mirror", "graph": {"family": "ring", "size": 6}, "deltas": 0.5},
+        {"property": "mirror", "graph": {"family": "ring", "size": 6}, "deltas": ["tau"]},
+        {
+            "property": "mirror",
+            "graph": {"family": "star", "size": 4},
+            "deltas": [0.1],
+            "half_pi": "yes",
+        },
+        {"property": "suppression", "graph": {"family": "ring", "size": 6}, "initial_node": 1},
+        {
+            "property": "stationary",
+            "graph": {"family": "ring", "size": 6, "directed": False},
+            "deltas": [0.1],
+        },
+        {
+            "property": "stationary",
+            "graph": {"family": "ring", "size": 6, "directed": False},
+            "time_grid": {"start": 2.0, "end": 1.0, "steps": 5},
+        },
     ],
     ids=[
         "fractional-count",
@@ -295,6 +320,14 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
         "bool-tolerance",
         "bool-time-grid-start",
         "string-coupling-coefficient",
+        "scalar-partition",
+        "fractional-partition-entry",
+        "scalar-deltas",
+        "unparsable-delta",
+        "string-half-pi",
+        "initial-node-on-suppression",
+        "deltas-on-stationary",
+        "backward-check-time-grid",
     ],
 )
 def test_verify_config_errors_exit_one(tmp_path, capsys, check):
@@ -407,6 +440,18 @@ def test_verify_random_suppression_is_seeded(tmp_path, capsys):
     assert main(["verify", "--config", path, "--seed", "11"]) == 0
     assert capsys.readouterr().out == first
     assert "seed11" in first
+
+
+def test_readme_configs_run(tmp_path, capsys):
+    # every fenced json block of README.md is a config the CLI accepts as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [json.loads(b) for b in re.findall(r"^```json\n(.*?)^```", readme, re.M | re.S)]
+    assert len(blocks) >= 2
+    for k, cfg in enumerate(blocks):
+        command = "verify" if "checks" in cfg else "sweep"
+        path = write_config(tmp_path, cfg, f"readme-{k}.json")
+        argv = [command, "--config", path, "--out-dir", str(tmp_path), "--seed", "7"]
+        assert main(argv) == 0, capsys.readouterr()
 
 
 def test_render_round_trip(tmp_path):

@@ -32,11 +32,12 @@ def test_parse_phase_tokens():
     assert parse_phase("0.3") == pytest.approx(0.3)
     assert parse_phase(0.3) == pytest.approx(0.3)
     assert parse_phase(2) == pytest.approx(2.0)
+    assert parse_phase(np.int64(2)) == 2.0
 
 
 def test_parse_phase_rejects_garbage():
-    for bad in ("tau", "pi/0", "", "nan", float("inf"), True, None):
-        with pytest.raises((ValueError, TypeError)):
+    for bad in ("tau", "pi/0", "", "nan", float("inf"), True, None, 10**400):
+        with pytest.raises(ValueError):
             parse_phase(bad)
 
 
@@ -119,19 +120,11 @@ def test_coupling_parity_split():
         CouplingSeries.polynomial([0.3, 1.0, -0.2, 0.7]),
     ):
         for x in (0.0, 0.5, -1.3, 2.0):
-            even = series.even_scalar(x)
             odd = series.odd_scalar(x)
-            assert series.j0 + even + odd == pytest.approx(series.scalar(x), abs=1e-12)
-            assert series.even_scalar(-x) == pytest.approx(even, abs=1e-12)
+            # what is left of J after its odd part is even
+            even = series.scalar(x) - odd
+            assert series.scalar(-x) + odd == pytest.approx(even, abs=1e-12)
             assert series.odd_scalar(-x) == pytest.approx(-odd, abs=1e-12)
-
-
-def test_j0_values():
-    assert CouplingSeries.exp().j0 == 1.0
-    assert CouplingSeries.cosh().j0 == 1.0
-    assert CouplingSeries.sinh().j0 == 0.0
-    assert CouplingSeries.identity().j0 == 0.0
-    assert CouplingSeries.polynomial([4.0, 1.0]).j0 == 4.0
 
 
 def _random_hermitian(rng, n):

@@ -55,6 +55,8 @@ def test_state_builders():
     with pytest.raises(ValueError):
         localized_state(4, 4)
     with pytest.raises(ValueError):
+        localized_state(4, True)
+    with pytest.raises(ValueError):
         validate_state(np.array([1.0, 1.0]), 2)
     with pytest.raises(ValueError):
         validate_state(localized_state(3, 0), 4)
