@@ -92,6 +92,20 @@ def _config_number(value, what: str) -> float:
     return float(value)
 
 
+def _config_string(cfg: dict, key: str, context: str) -> None:
+    """Reject a present ``key`` whose value is not a nonempty string."""
+    if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
+        raise ConfigError(f"{context}: '{key}' must be a nonempty string, got {cfg[key]!r}")
+
+
+def _config_build(build, context: str, *args):
+    """Call a graph or series builder; the ValueError it raises for its inputs is a config error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
 def _build_graph(cfg, context: str = "graph"):
     """Build a DirectedGraph or CirculantSpec from a config object."""
     _check_keys(cfg, {"family", "size", "directed", "coefficients", "path"}, context)
@@ -101,18 +115,22 @@ def _build_graph(cfg, context: str = "graph"):
         raise ConfigError(f"{context}: 'directed' must be a boolean")
     builders = {"star": build_star, "ring": ring_spec, "moebius": moebius_spec}
     if family in builders:
-        return builders[family](_config_int(cfg.get("size"), f"{context}: 'size'"), directed)
+        size = _config_int(cfg.get("size"), f"{context}: 'size'")
+        return _config_build(builders[family], context, size, directed)
     if family == "circulant":
         coeffs = cfg.get("coefficients")
         if not isinstance(coeffs, list):
             raise ConfigError(f"{context}: circulant family needs a 'coefficients' list")
-        return CirculantSpec(
-            tuple(_config_number(c, f"{context}: 'coefficients' entry") for c in coeffs)
+        return _config_build(
+            CirculantSpec,
+            context,
+            tuple(_config_number(c, f"{context}: 'coefficients' entry") for c in coeffs),
         )
     if family == "edge-list":
         if "path" not in cfg:
             raise ConfigError(f"{context}: edge-list family needs a 'path'")
-        return read_edge_list(cfg["path"])
+        _config_string(cfg, "path", context)
+        return _config_build(read_edge_list, context, cfg["path"])
     raise ConfigError(
         f"{context}: unknown family {family!r}; expected star, ring, moebius, "
         "circulant, or edge-list"
@@ -140,8 +158,10 @@ def _build_series(cfg) -> CouplingSeries:
         coeffs = cfg.get("coefficients")
         if not isinstance(coeffs, list):
             raise ConfigError("coupling: polynomial kind needs a 'coefficients' list")
-        return CouplingSeries.polynomial(
-            [_config_number(c, "coupling: 'coefficients' entry") for c in coeffs]
+        return _config_build(
+            CouplingSeries.polynomial,
+            "coupling",
+            [_config_number(c, "coupling: 'coefficients' entry") for c in coeffs],
         )
     if "coefficients" in cfg:
         raise ConfigError(f"coupling: kind {kind!r} takes no coefficients")
@@ -250,7 +270,13 @@ def cmd_walk(args) -> int:
     initial = _config_int(cfg.get("initial_node", 0), "config: 'initial_node'")
     output = cfg.get("output", {})
     _check_keys(output, {"csv", "heatmap", "scale", "amplitudes"}, "output")
-    include_amps, scale = bool(output.get("amplitudes", False)), output.get("scale", "linear")
+    _config_string(output, "csv", "output")
+    _config_string(output, "heatmap", "output")
+    include_amps, scale = output.get("amplitudes", False), output.get("scale", "linear")
+    if not isinstance(include_amps, bool):
+        raise ConfigError(f"output: 'amplitudes' must be a boolean, got {include_amps!r}")
+    if scale not in ("linear", "log"):
+        raise ConfigError(f"output: 'scale' must be 'linear' or 'log', got {scale!r}")
     results = [run_walk(graph, alpha, series, initial, grid) for alpha in alphas]
     for index, result in enumerate(results):
         csv_name, pgm_name = output.get("csv", "walk.csv"), output.get("heatmap")
@@ -374,6 +400,7 @@ def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, {"checks", "report", "time_grid"}, "config")
+    _config_string(cfg, "report", "config")
     checks = cfg.get("checks")
     if not isinstance(checks, list) or not checks:
         raise ConfigError("config: 'checks' must be a nonempty list")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CirculantSpec, DirectedGraph, bipartition, weakly_connected_components
+from .graphs import CirculantSpec, DirectedGraph, bipartition
 from .operators import TIME_CHUNK, CouplingSeries
 from .walk import DEFAULT_TIME_GRID, TimeGrid, propagator, row_norm_defect, run_walk
 
@@ -221,6 +221,27 @@ def check_bidirected_edge_cancellation(
     return PropertyReport("cancellation", label, deviation, TOL_CANCELLATION)
 
 
+_DRAW_TRIES = 10000
+# Uniforms held at once by the bipartite sampler (512 KiB of doubles); the
+# block of attempts is capped to it, so a draw that fails every try stays small.
+_BLOCK_DOUBLES = 2**16
+
+
+def _connected_biadjacency(linked: np.ndarray) -> bool:
+    """Whether a (p, q) biadjacency with no isolated node is connected.
+
+    Every side-two node has a side-one neighbour, so reaching all of side
+    one from its node 0 reaches everything.
+    """
+    reach = np.zeros(linked.shape[0], dtype=bool)
+    reach[0] = True
+    while True:
+        grown = linked[:, linked[reach].any(axis=0)].any(axis=1)
+        if np.array_equal(grown, reach):
+            return bool(reach.all())
+        reach = grown
+
+
 def random_bipartite_graph(rng: np.random.Generator, max_nodes: int = 16) -> DirectedGraph:
     """Weakly-connected random bipartite digraph on 2..max_nodes nodes.
 
@@ -228,37 +249,55 @@ def random_bipartite_graph(rng: np.random.Generator, max_nodes: int = 16) -> Dir
     and each cross edge appears in each direction with probability 1/2;
     disconnected draws are rejected and redrawn, and ValueError is raised
     after 10000 of them.
+
+    Each attempt reads 2 p (n-p) uniforms in the order (i over side one,
+    j over side two, i -> j before j -> i), the C order of a (p, n-p, 2)
+    block, so attempts are drawn a block at a time.  On acceptance the
+    generator is rewound to the block's start and advanced by exactly the
+    attempts used: the graph and the generator state after the call are
+    those of drawing one uniform per cell in that order.
     """
     if max_nodes < 2:
         raise ValueError("need max_nodes >= 2")
     n = int(rng.integers(2, max_nodes + 1))
     p = int(rng.integers(1, n))
-    for _ in range(10000):
-        edges = set()
-        for i in range(p):
-            for j in range(p, n):
-                if rng.random() < 0.5:
-                    edges.add((i, j))
-                if rng.random() < 0.5:
-                    edges.add((j, i))
-        g = DirectedGraph(n, frozenset(edges))
-        if len(weakly_connected_components(g)) == 1:
-            return g
+    q = n - p
+    per_try = 2 * p * q
+    tried, block = 0, 1
+    while tried < _DRAW_TRIES:
+        block = min(block, _DRAW_TRIES - tried, max(1, _BLOCK_DOUBLES // per_try))
+        block_start = rng.bit_generator.state
+        coins = rng.random((block, p, q, 2)) < 0.5
+        linked = coins[..., 0] | coins[..., 1]
+        # an attempt with an isolated node is out before any connectivity search
+        whole = linked.any(axis=2).all(axis=1) & linked.any(axis=1).all(axis=1)
+        for a in np.flatnonzero(whole):
+            if _connected_biadjacency(linked[a]):
+                if a + 1 < block:
+                    rng.bit_generator.state = block_start
+                    rng.random((a + 1) * per_try)
+                i, j = np.nonzero(coins[a, ..., 0])
+                edges = set(zip(i.tolist(), (j + p).tolist()))
+                i, j = np.nonzero(coins[a, ..., 1])
+                edges.update(zip((j + p).tolist(), i.tolist()))
+                return DirectedGraph(n, frozenset(edges))
+        tried += block
+        block *= 2
     raise ValueError("failed to draw a connected bipartite graph")
 
 
 def random_directed_graph(rng: np.random.Generator, max_nodes: int = 10) -> DirectedGraph:
-    """Random digraph on 2..max_nodes nodes; each ordered pair has probability 1/2."""
+    """Random digraph on 2..max_nodes nodes; each ordered pair has probability 1/2.
+
+    The n (n-1) uniforms are read row by row, skipping the diagonal.
+    """
     if max_nodes < 2:
         raise ValueError("need max_nodes >= 2")
     n = int(rng.integers(2, max_nodes + 1))
-    edges = {
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and rng.random() < 0.5
-    }
-    return DirectedGraph(n, frozenset(edges))
+    present = np.zeros((n, n), dtype=bool)
+    present[~np.eye(n, dtype=bool)] = rng.random(n * (n - 1)) < 0.5
+    i, j = np.nonzero(present)
+    return DirectedGraph(n, frozenset(zip(i.tolist(), j.tolist())))
 
 
 def random_polynomial_series(rng: np.random.Generator, max_degree: int = 5) -> CouplingSeries:

@@ -115,6 +115,27 @@ def test_bad_inputs_exit_one(tmp_path):
     assert main(["simulate", "--config", write_config(tmp_path, huge_phase)]) == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize(
+    "output",
+    [{"csv": 5}, {"csv": ""}, {"heatmap": 5}, {"heatmap": None}, {"amplitudes": "no"},
+     {"amplitudes": 1}, {"scale": "sqrt"}, {"scale": None}],
+    ids=["int-csv", "empty-csv", "int-heatmap", "null-heatmap", "string-amplitudes",
+         "int-amplitudes", "unknown-scale", "null-scale"],
+)
+def test_bad_output_exits_one_before_walks(tmp_path, capsys, monkeypatch, command, output):
+    walks = []
+    monkeypatch.setattr("ctqw.cli.run_walk", lambda *args: walks.append(args))
+    cfg = simulate_cfg(alphas=["0.1"] if command == "simulate" else ["0.1", "0.2"],
+                       output=dict({"heatmap": "walk.pgm"}, **output))
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", path, "--out-dir", str(out_dir)]) == 1
+    assert "error: output:" in capsys.readouterr().err
+    assert walks == []
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -306,6 +327,15 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
             "graph": {"family": "ring", "size": 6, "directed": False},
             "time_grid": {"start": 2.0, "end": 1.0, "steps": 5},
         },
+        {"property": "suppression", "graph": {"family": "ring", "size": 2}},
+        {"property": "suppression", "graph": {"family": "moebius", "size": 7}},
+        {"property": "suppression", "graph": {"family": "circulant", "coefficients": []}},
+        {
+            "property": "suppression",
+            "graph": {"family": "ring", "size": 6},
+            "coupling": {"kind": "polynomial", "coefficients": []},
+        },
+        {"property": "suppression", "graph": {"family": "edge-list", "path": 5}},
     ],
     ids=[
         "fractional-count",
@@ -328,6 +358,11 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
         "initial-node-on-suppression",
         "deltas-on-stationary",
         "backward-check-time-grid",
+        "two-node-ring",
+        "odd-moebius",
+        "empty-circulant",
+        "empty-polynomial",
+        "integer-edge-list-path",
     ],
 )
 def test_verify_config_errors_exit_one(tmp_path, capsys, check):
@@ -338,6 +373,18 @@ def test_verify_config_errors_exit_one(tmp_path, capsys, check):
     captured = capsys.readouterr()
     assert "rejected" not in captured.out
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("report", [5, "", None])
+def test_verify_bad_report_name_exits_one_before_checks(tmp_path, capsys, monkeypatch, report):
+    checks = []
+    monkeypatch.setattr("ctqw.cli._run_check", lambda *args: checks.append(args))
+    cfg = {"checks": [{"property": "suppression"}], "report": report}
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out-dir", str(out_dir)]) == 1
+    assert "error: config: 'report'" in capsys.readouterr().err
+    assert checks == []
+    assert not out_dir.exists()
 
 
 def test_verify_explicit_partition_on_non_bipartite_graph(tmp_path):

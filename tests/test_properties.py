@@ -30,6 +30,7 @@ from ctqw import (
     random_polynomial_series,
     ring_spec,
     run_walk,
+    weakly_connected_components,
 )
 
 EXP = CouplingSeries.exp()
@@ -241,14 +242,88 @@ def test_random_bipartite_graph_generator():
         g = random_bipartite_graph(rng, max_nodes=10)
         seen_sizes.add(g.n)
         assert bipartition(g) is not None
-        from ctqw import weakly_connected_components
-
         assert len(weakly_connected_components(g)) == 1
     assert len(seen_sizes) > 3
     # determinism under a fixed seed
     g1 = random_bipartite_graph(np.random.default_rng(7))
     g2 = random_bipartite_graph(np.random.default_rng(7))
     assert g1 == g2
+
+
+def scalar_bipartite_graph(rng, max_nodes):
+    """The one-uniform-per-call rejection loop that random_bipartite_graph must match."""
+    n = int(rng.integers(2, max_nodes + 1))
+    p = int(rng.integers(1, n))
+    for _ in range(10000):
+        edges = set()
+        for i in range(p):
+            for j in range(p, n):
+                if rng.random() < 0.5:
+                    edges.add((i, j))
+                if rng.random() < 0.5:
+                    edges.add((j, i))
+        g = DirectedGraph(n, frozenset(edges))
+        if len(weakly_connected_components(g)) == 1:
+            return g
+    raise ValueError("failed to draw a connected bipartite graph")
+
+
+def scalar_directed_graph(rng, max_nodes):
+    """The one-uniform-per-call loop that random_directed_graph must match."""
+    n = int(rng.integers(2, max_nodes + 1))
+    edges = {(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.5}
+    return DirectedGraph(n, frozenset(edges))
+
+
+def _plain(state):
+    # MT19937 keeps its key as an array; lists compare whole
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def _draw(sampler, rng, max_nodes):
+    """The graph drawn (or the ValueError's message) and the generator state after it."""
+    try:
+        outcome = sampler(rng, max_nodes)
+    except ValueError as exc:
+        outcome = str(exc)
+    return outcome, _plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize(
+    "sampler, reference, sizes",
+    [
+        (random_bipartite_graph, scalar_bipartite_graph, (2, 3, 5, 16, 32)),
+        (random_directed_graph, scalar_directed_graph, (2, 3, 10, 24)),
+    ],
+    ids=["bipartite", "directed"],
+)
+def test_random_graphs_read_the_scalar_stream(bit_generator, sampler, reference, sizes):
+    # same graph, and the generator left where the one-uniform-per-call loop
+    # leaves it, so the draws that follow (the CLI's random polynomial) agree too
+    for seed in range(40):
+        for max_nodes in sizes:
+            drawn = _draw(sampler, np.random.Generator(bit_generator(seed)), max_nodes)
+            expected = _draw(reference, np.random.Generator(bit_generator(seed)), max_nodes)
+            assert drawn == expected, (seed, max_nodes)
+
+
+def test_exhausted_bipartite_draw_reads_the_scalar_stream_in_bounded_scratch():
+    # (39, 1) draws a 30/1 split of 31 nodes, and all 10000 tries are disconnected
+    expected = _draw(scalar_bipartite_graph, np.random.default_rng((39, 1)), 32)
+    assert expected[0] == "failed to draw a connected bipartite graph"
+    rng = np.random.default_rng((39, 1))
+    tracemalloc.start()
+    try:
+        drawn = _draw(random_bipartite_graph, rng, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert drawn == expected
+    # the 600 000 uniforms of all tries at once would take 4.6 MiB
+    assert peak < 2**20
 
 
 def test_random_directed_graph_generator():
