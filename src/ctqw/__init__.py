@@ -26,6 +26,7 @@ from .operators import (
     EigendecompositionError,
     EigenSystem,
     HermitianOperator,
+    NonFiniteOperatorError,
     apply_coupling,
     assemble_hamiltonian,
     hermitian_adjacency,

@@ -18,7 +18,13 @@ import numpy as np
 
 from .graphs import CirculantSpec, read_edge_list
 from .graphs import moebius_spec, ring_spec, build_star
-from .operators import TIME_CHUNK, CouplingSeries, EigendecompositionError, parse_phase
+from .operators import (
+    TIME_CHUNK,
+    CouplingSeries,
+    EigendecompositionError,
+    NonFiniteOperatorError,
+    parse_phase,
+)
 from .properties import (
     TOL_CANCELLATION,
     TOL_MIRROR,
@@ -479,7 +485,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (EigendecompositionError, NormalizationError) as exc:
+    except (EigendecompositionError, NonFiniteOperatorError, NormalizationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -9,7 +9,9 @@ and a real-coefficient coupling series J lifts it to the walk Hamiltonian
     H = J(A_H) + J(A_H)^T.
 
 J(A_H) is Hermitian for real series, so its transpose equals its complex
-conjugate and H is always real symmetric.
+conjugate and H is always real symmetric.  ``apply_coupling`` evaluates a
+short polynomial J by a Hermitian Horner scheme in a few matrix products,
+and every other series spectrally, from one eigendecomposition of A_H.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ _PI_TOKEN = re.compile(
 
 class EigendecompositionError(ArithmeticError):
     """Raised when the Hermitian eigensolver fails to converge."""
+
+
+class NonFiniteOperatorError(ArithmeticError):
+    """Raised when an operator holds NaN or infinite entries."""
 
 
 def parse_phase(token) -> float:
@@ -84,8 +90,10 @@ class HermitianOperator:
     """A square matrix certified and stored as exactly Hermitian.
 
     Construction rejects matrices whose Hermiticity defect max|M - M^H|
-    exceeds ``HERMITICITY_TOL`` and stores the hermitized (M + M^H)/2:
-    complex input as complex128, real input as float64 (real symmetric).
+    exceeds ``HERMITICITY_TOL`` (ValueError) or is not finite
+    (NonFiniteOperatorError, as for any NaN or infinite entry) and stores the
+    hermitized (M + M^H)/2: complex input as complex128, real input as
+    float64 (real symmetric).
     """
 
     matrix: np.ndarray
@@ -94,7 +102,10 @@ class HermitianOperator:
         m = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be square, got shape {m.shape}")
-        defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        with np.errstate(invalid="ignore"):  # inf - inf is the NaN reported below
+            defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        if not math.isfinite(defect):
+            raise NonFiniteOperatorError(f"operator has non-finite entries (Hermiticity defect {defect})")
         if defect > HERMITICITY_TOL:
             raise ValueError(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:g}")
         m = (m + m.conj().T) / 2.0
@@ -108,7 +119,7 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class CouplingSeries:
-    """Real-coefficient scalar series J applied spectrally to operators.
+    """Real-coefficient scalar series J, applied to operators by ``apply_coupling``.
 
     ``polynomial`` carries explicit coefficients (j_0, j_1, ...); the other
     kinds are the usual entire functions.  ``identity`` is J(x) = x.
@@ -230,13 +241,53 @@ def hermitian_eigendecomposition(op: HermitianOperator) -> EigenSystem:
     return EigenSystem(w, v)
 
 
-def apply_coupling(series: CouplingSeries, op: HermitianOperator) -> HermitianOperator:
-    """Evaluate J(M) spectrally: V J(w) V^H from the eigensystem of M.
+# Highest polynomial degree d evaluated by Horner products.  A degree-d
+# polynomial costs d complex N x N products against one complex eigensolve plus
+# the V J(w) V^H product; at N = 500 the two routes cross near d = 8.
+_HORNER_MAX_DEGREE = 7
 
-    The identity series returns its input unchanged.
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2.0
+
+
+def _plus_identity(m: np.ndarray, c: float) -> np.ndarray:
+    m.flat[:: m.shape[0] + 1] += c
+    return m
+
+
+def _hermitian_horner(coefficients, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k X^k for an exactly Hermitian X, by Horner's rule.
+
+    Every partial sum P is a polynomial in X, so P X is Hermitian up to
+    rounding; each step keeps its Hermitian part, so P stays exactly
+    Hermitian.  The last step sums P X and X P instead, so the result
+    carries the rounding of its final products for the caller's gate to see.
+    """
+    c = coefficients
+    d = len(c) - 1
+    if d == 0:
+        return _plus_identity(np.zeros_like(x), c[0])
+    p = _plus_identity(c[d] * x, c[d - 1])
+    for k in range(d - 2, 0, -1):
+        p = _plus_identity(_hermitian_part(p @ x), c[k])
+    if d == 1:
+        return p
+    return _plus_identity((p @ x + x @ p) / 2.0, c[0])
+
+
+def apply_coupling(series: CouplingSeries, op: HermitianOperator) -> HermitianOperator:
+    """Evaluate J(M) for a Hermitian M.
+
+    The identity series returns its input unchanged, and a polynomial of
+    degree at most 7 is evaluated by Hermitian Horner products.  Every other
+    series is applied spectrally: V J(w) V^H from the eigensystem of M.
+    Either way the result is re-certified by ``HermitianOperator``.
     """
     if series.kind == "identity":
         return op
+    if series.kind == "polynomial" and len(series.coefficients) <= _HORNER_MAX_DEGREE + 1:
+        return HermitianOperator(_hermitian_horner(series.coefficients, op.matrix))
     es = hermitian_eigendecomposition(op)
     f = series.scalar(es.values)
     m = (es.vectors * f) @ es.vectors.conj().T

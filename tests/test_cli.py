@@ -115,6 +115,24 @@ def test_bad_inputs_exit_one(tmp_path):
     assert main(["simulate", "--config", write_config(tmp_path, huge_phase)]) == 1
 
 
+def test_non_finite_coupling_exits_three(tmp_path, capsys):
+    # exp(A_H) of the complete 400-node digraph at alpha 0 reaches e^798, past
+    # the float range: J is non-finite, a numerical failure and not a config error
+    n = 400
+    graph_path = tmp_path / "complete.txt"
+    graph_path.write_text(
+        f"n {n}\n" + "".join(f"{i} {j}\n" for i in range(n) for j in range(n) if i != j)
+    )
+    cfg = simulate_cfg(graph={"family": "edge-list", "path": str(graph_path)}, alphas=[0],
+                       coupling={"kind": "exp"}, output={"csv": "never.csv"})
+    with pytest.warns(RuntimeWarning) as warned:  # numpy's own overflow and NaN warnings
+        code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
+    assert any("overflow" in str(w.message) for w in warned)
+    assert code == 3
+    assert "numeric failure: operator has non-finite entries" in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize(
     "output",

@@ -11,6 +11,8 @@ from ctqw import (
     CouplingSeries,
     EigendecompositionError,
     HermitianOperator,
+    NonFiniteOperatorError,
+    TimeGrid,
     apply_coupling,
     assemble_hamiltonian,
     build_ring,
@@ -18,7 +20,11 @@ from ctqw import (
     hermitian_adjacency,
     hermitian_eigendecomposition,
     parse_phase,
+    random_directed_graph,
+    random_polynomial_series,
+    run_walk,
 )
+from ctqw.operators import HERMITICITY_TOL, _hermitian_horner
 
 
 def test_parse_phase_tokens():
@@ -52,6 +58,19 @@ def test_hermitian_operator_contract():
     assert HermitianOperator(np.array([[0, 1], [1, 0]])).matrix.dtype == np.float64
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.inf], [math.inf, 1.0]], [[0.0, 1.0], [-math.inf, 0.0]]],
+    ids=["nan-diagonal", "symmetric-inf", "one-inf"],
+)
+def test_hermitian_operator_rejects_non_finite_entries(matrix):
+    # a NaN defect is never above the tolerance, so it is caught on its own
+    with pytest.raises(NonFiniteOperatorError, match="non-finite"):
+        HermitianOperator(np.array(matrix))
+    assert issubclass(NonFiniteOperatorError, ArithmeticError)
+    assert not issubclass(NonFiniteOperatorError, ValueError)
 
 
 def test_hermitian_adjacency_limits():
@@ -231,3 +250,113 @@ def test_assemble_phase_sign_invariance():
 def test_eigendecomposition_error_type():
     # solver failures surface as an ArithmeticError subclass callers can catch
     assert issubclass(EigendecompositionError, ArithmeticError)
+
+
+def _clongdouble_polynomial(coefficients, x):
+    """sum_k c_k X^k by repeated products in extended precision."""
+    xl = x.astype(np.clongdouble)
+    eye = np.eye(x.shape[0], dtype=np.clongdouble)
+    acc = np.zeros_like(xl)
+    for c in reversed(coefficients):
+        acc = acc @ xl + np.longdouble(c) * eye
+    return acc
+
+
+def _criterion_3_cells():
+    """Every (A_H, polynomial) cell of acceptance criterion 3's random digraphs."""
+    for k in range(50):
+        rng = np.random.default_rng((555001, k))
+        graph = random_directed_graph(rng, max_nodes=10)
+        series = random_polynomial_series(rng, max_degree=5)
+        for alpha in (0.1, -0.1, 0.5, -0.5, 1.0, -1.0):
+            yield hermitian_adjacency(graph, alpha), series
+
+
+def test_horner_coupling_is_gated_and_no_less_accurate_than_spectral():
+    eps = np.finfo(float).eps
+    worst_horner = worst_spectral = 0.0
+    cells = 0
+    for op, series in _criterion_3_cells():
+        x = op.matrix
+        raw = _hermitian_horner(series.coefficients, x)
+        assert np.max(np.abs(raw - raw.conj().T)) <= HERMITICITY_TOL
+        horner = apply_coupling(series, op).matrix
+        w, v = np.linalg.eigh(x)
+        spectral = (v * series.scalar(w)) @ v.conj().T
+        oracle = _clongdouble_polynomial(series.coefficients, x)
+        err_h = float(np.max(np.abs(horner - oracle)))
+        err_s = float(np.max(np.abs(spectral - oracle)))
+        # below one rounding of the largest entry neither route can be told apart
+        floor = eps * float(np.max(np.abs(oracle)))
+        assert err_h <= max(err_s, floor), (cells, err_h, err_s)
+        worst_horner, worst_spectral = max(worst_horner, err_h), max(worst_spectral, err_s)
+        cells += 1
+    assert cells == 300
+    assert worst_horner <= worst_spectral
+
+
+def test_horner_cancelling_polynomial_within_a_priori_bound():
+    # (x - 1)^5 on X = I + R/100: terms of size ~32 cancel to ~1e-10.
+    coefficients = (-1.0, 5.0, -10.0, 10.0, -5.0, 1.0)
+    d = len(coefficients) - 1
+    rng = np.random.default_rng(5)
+    for n in (4, 10, 30):
+        r = _random_hermitian(rng, n)
+        op = HermitianOperator(np.eye(n) + r / (100 * np.abs(r).sum(axis=1).max()))
+        x = op.matrix
+        # Scalar Horner gives |p(x) - fl(p(x))| <= gamma_2d sum |c_k| |x|^k
+        # (Higham, Accuracy and Stability, 5.1), gamma_m = m u / (1 - m u).
+        # In a matrix step P X + c I the real and the imaginary part of an
+        # entry of P X are real inner products of length 2n, each within
+        # gamma_2n sum |p||x|, so the entry is within sqrt(2) gamma_2n <=
+        # gamma_3n of its sum of moduli; the Hermitian
+        # part and the added c_k cost one rounding each.  The first step
+        # c_d X + c_{d-1} I costs two, and the d - 1 product steps 3n + 2
+        # each.  Entrywise |X|^k is at most ||X||_inf^k.
+        u = np.finfo(float).eps / 2
+        m = 2 + (d - 1) * (3 * n + 2)
+        gamma = m * u / (1 - m * u)
+        norm = float(np.abs(x).sum(axis=1).max())
+        bound = gamma * sum(abs(c) * norm**k for k, c in enumerate(coefficients))
+        applied = apply_coupling(CouplingSeries.polynomial(coefficients), op).matrix
+        oracle = _clongdouble_polynomial(coefficients, x)
+        assert float(np.max(np.abs(applied - oracle))) <= bound
+
+
+def test_horner_low_degrees_need_no_product():
+    op = HermitianOperator(_random_hermitian(np.random.default_rng(8), 5))
+    constant = apply_coupling(CouplingSeries.polynomial([0.7]), op).matrix
+    assert np.array_equal(constant, 0.7 * np.eye(5))
+    linear = apply_coupling(CouplingSeries.polynomial([0.7, -2.0]), op).matrix
+    assert np.array_equal(linear, -2.0 * op.matrix + 0.7 * np.eye(5))
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(m.dtype)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "series, dtypes",
+    [
+        (CouplingSeries.polynomial([0.0, 1.0, 0.5, 1.0 / 6.0]), [np.float64]),
+        (CouplingSeries.exp(), [np.complex128, np.float64]),
+        (CouplingSeries.polynomial([1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002]),
+         [np.complex128, np.float64]),
+    ],
+    ids=["cubic", "exp", "degree-8"],
+)
+def test_dense_walk_eigensolves(monkeypatch, series, dtypes):
+    # a polynomial of degree <= 7 skips the complex eigensolve of A_H;
+    # only the real one of H is left
+    calls = _count_eigh(monkeypatch)
+    result = run_walk(build_ring(12), 0.4, series, 0, TimeGrid(0.0, 2.0, 9))
+    assert result.normalization_defect <= 1e-10
+    assert calls == dtypes

@@ -171,6 +171,22 @@ def test_suppression_diagonalizes_once_for_all_starts(monkeypatch, n):
     assert calls == [(n, n), (n, n)]
 
 
+def test_polynomial_suppression_diagonalizes_only_h(monkeypatch):
+    # a cubic J(A_H) comes from Horner products, so the one eigensolve left is H's
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(m.dtype)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    cubic = CouplingSeries.polynomial([0.0, 1.0, 0.5, 1.0 / 6.0])
+    rep = check_transport_suppression(build_moebius_ladder(10), cubic, TimeGrid(0.0, 5.0, 20))
+    assert rep.passed, rep.line()
+    assert calls == [np.float64]
+
+
 @pytest.mark.parametrize(
     "instance",
     [
