@@ -44,6 +44,10 @@ class NonFiniteOperatorError(ArithmeticError):
     """Raised when an operator holds NaN or infinite entries."""
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2.0
+
+
 def parse_phase(token) -> float:
     """Parse a phase value from a number or a symbolic token.
 
@@ -105,10 +109,12 @@ class HermitianOperator:
         with np.errstate(invalid="ignore"):  # inf - inf is the NaN reported below
             defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         if not math.isfinite(defect):
-            raise NonFiniteOperatorError(f"operator has non-finite entries (Hermiticity defect {defect})")
+            raise NonFiniteOperatorError(
+                f"operator has non-finite entries (Hermiticity defect {defect})"
+            )
         if defect > HERMITICITY_TOL:
             raise ValueError(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:g}")
-        m = (m + m.conj().T) / 2.0
+        m = _hermitian_part(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -245,10 +251,6 @@ def hermitian_eigendecomposition(op: HermitianOperator) -> EigenSystem:
 # polynomial costs d complex N x N products against one complex eigensolve plus
 # the V J(w) V^H product; at N = 500 the two routes cross near d = 8.
 _HORNER_MAX_DEGREE = 7
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
 
 
 def _plus_identity(m: np.ndarray, c: float) -> np.ndarray:

@@ -62,7 +62,11 @@ def test_hermitian_operator_contract():
 
 @pytest.mark.parametrize(
     "matrix",
-    [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.inf], [math.inf, 1.0]], [[0.0, 1.0], [-math.inf, 0.0]]],
+    [
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[1.0, math.inf], [math.inf, 1.0]],
+        [[0.0, 1.0], [-math.inf, 0.0]],
+    ],
     ids=["nan-diagonal", "symmetric-inf", "one-inf"],
 )
 def test_hermitian_operator_rejects_non_finite_entries(matrix):
