@@ -8,10 +8,10 @@ and a real-coefficient coupling series J lifts it to the walk Hamiltonian
 
     H = J(A_H) + J(A_H)^T.
 
-J(A_H) is Hermitian for real series, so its transpose equals its complex
-conjugate and H is always real symmetric.  ``apply_coupling`` evaluates a
-short polynomial J by a Hermitian Horner scheme in a few matrix products,
-and every other series spectrally, from one eigendecomposition of A_H.
+J(A_H) is Hermitian for real series, so H = 2 Re J(A_H) is real symmetric.
+A_H, H and a short polynomial J (Horner products) are Hermitian by
+construction and only checked for finite entries; any other J is spectral,
+V J(w) V^H, and is gated like every operator a caller builds.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ class NonFiniteOperatorError(ArithmeticError):
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
+
+
+def _require_finite(values) -> None:
+    if not np.isfinite(values).all():
+        raise NonFiniteOperatorError("operator has non-finite entries")
 
 
 def parse_phase(token) -> float:
@@ -108,15 +113,21 @@ class HermitianOperator:
             raise ValueError(f"operator must be square, got shape {m.shape}")
         with np.errstate(invalid="ignore"):  # inf - inf is the NaN reported below
             defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if not math.isfinite(defect):
-            raise NonFiniteOperatorError(
-                f"operator has non-finite entries (Hermiticity defect {defect})"
-            )
+        _require_finite(defect)
         if defect > HERMITICITY_TOL:
             raise ValueError(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:g}")
         m = _hermitian_part(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _by_construction(cls, m: np.ndarray) -> "HermitianOperator":
+        """Freeze and wrap an exactly Hermitian ``m``; only its finiteness is checked."""
+        _require_finite(m)
+        m.setflags(write=False)
+        op = object.__new__(cls)
+        object.__setattr__(op, "matrix", m)
+        return op
 
     @property
     def n(self) -> int:
@@ -191,8 +202,10 @@ class CouplingSeries:
 def hermitian_adjacency(g, alpha: float) -> HermitianOperator:
     """A_H(alpha) = exp(i alpha) A + exp(-i alpha) A^T for a directed graph."""
     a = g.adjacency()
-    m = np.exp(1j * alpha) * a + np.exp(-1j * alpha) * a.T
-    return HermitianOperator(m)
+    m = np.empty(a.shape, dtype=complex)
+    m.real = np.cos(alpha) * (a + a.T)
+    m.imag = np.sin(alpha) * (a - a.T)
+    return HermitianOperator._by_construction(m)
 
 
 @dataclass(eq=False, frozen=True)
@@ -248,8 +261,8 @@ def hermitian_eigendecomposition(op: HermitianOperator) -> EigenSystem:
 
 
 # Highest polynomial degree d evaluated by Horner products.  A degree-d
-# polynomial costs d complex N x N products against one complex eigensolve plus
-# the V J(w) V^H product; at N = 500 the two routes cross near d = 8.
+# polynomial costs d - 1 complex N x N products; one complex eigensolve plus
+# V J(w) V^H costs about 9 of them at N = 500, so the bound of 7 is conservative.
 _HORNER_MAX_DEGREE = 7
 
 
@@ -262,20 +275,17 @@ def _hermitian_horner(coefficients, x: np.ndarray) -> np.ndarray:
     """sum_k c_k X^k for an exactly Hermitian X, by Horner's rule.
 
     Every partial sum P is a polynomial in X, so P X is Hermitian up to
-    rounding; each step keeps its Hermitian part, so P stays exactly
-    Hermitian.  The last step sums P X and X P instead, so the result
-    carries the rounding of its final products for the caller's gate to see.
+    rounding; each step keeps its Hermitian part and adds c_k I, so the
+    result is exactly Hermitian, after d - 1 products, and needs no gate.
     """
     c = coefficients
     d = len(c) - 1
     if d == 0:
         return _plus_identity(np.zeros_like(x), c[0])
     p = _plus_identity(c[d] * x, c[d - 1])
-    for k in range(d - 2, 0, -1):
+    for k in range(d - 2, -1, -1):
         p = _plus_identity(_hermitian_part(p @ x), c[k])
-    if d == 1:
-        return p
-    return _plus_identity((p @ x + x @ p) / 2.0, c[0])
+    return p
 
 
 def apply_coupling(series: CouplingSeries, op: HermitianOperator) -> HermitianOperator:
@@ -284,12 +294,12 @@ def apply_coupling(series: CouplingSeries, op: HermitianOperator) -> HermitianOp
     The identity series returns its input unchanged, and a polynomial of
     degree at most 7 is evaluated by Hermitian Horner products.  Every other
     series is applied spectrally: V J(w) V^H from the eigensystem of M.
-    Either way the result is re-certified by ``HermitianOperator``.
+    Only that spectral result, Hermitian up to rounding, is gated.
     """
     if series.kind == "identity":
         return op
     if series.kind == "polynomial" and len(series.coefficients) <= _HORNER_MAX_DEGREE + 1:
-        return HermitianOperator(_hermitian_horner(series.coefficients, op.matrix))
+        return HermitianOperator._by_construction(_hermitian_horner(series.coefficients, op.matrix))
     es = hermitian_eigendecomposition(op)
     f = series.scalar(es.values)
     m = (es.vectors * f) @ es.vectors.conj().T
@@ -304,4 +314,4 @@ def assemble_hamiltonian(g, alpha: float, series: CouplingSeries) -> HermitianOp
     conjugate and the sum is exactly 2 Re J(A_H), a real symmetric matrix.
     """
     j = apply_coupling(series, hermitian_adjacency(g, alpha))
-    return HermitianOperator(2.0 * j.matrix.real)
+    return HermitianOperator._by_construction(2.0 * j.matrix.real)

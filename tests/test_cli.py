@@ -131,6 +131,16 @@ def test_non_finite_coupling_exits_three(tmp_path, capsys):
     assert code == 3
     assert "numeric failure: operator has non-finite entries" in capsys.readouterr().err
     assert not (tmp_path / "never.csv").exists()
+    # the Horner route: on the complete 4-node digraph at alpha 1, J = 1e308 A_H has
+    # entries 2 cos(1) 1e308 and is finite, and only H = 2 Re J overflows
+    edges = "".join(f"{i} {j}\n" for i in range(4) for j in range(4) if i != j)
+    graph_path.write_text("n 4\n" + edges)
+    cfg.update(alphas=[1], coupling={"kind": "polynomial", "coefficients": [0, 1e308]})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "numeric failure: operator has non-finite entries" in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ctqw import (
     CouplingSeries,
+    DirectedGraph,
     EigendecompositionError,
     HermitianOperator,
     NonFiniteOperatorError,
@@ -24,7 +25,7 @@ from ctqw import (
     random_polynomial_series,
     run_walk,
 )
-from ctqw.operators import HERMITICITY_TOL, _hermitian_horner
+from ctqw.operators import _hermitian_horner
 
 
 def test_parse_phase_tokens():
@@ -77,6 +78,18 @@ def test_hermitian_operator_rejects_non_finite_entries(matrix):
     assert not issubclass(NonFiniteOperatorError, ValueError)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "series",
+    [CouplingSeries.exp(), CouplingSeries.polynomial([0.0, 1.0, 0.5])],
+    ids=["exp", "quadratic"],
+)
+def test_non_finite_phase_raises_non_finite_operator_error(alpha, series):
+    # a library caller's NaN or infinite phase gives a non-finite A_H, never a ValueError
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteOperatorError, match="non-finite"):
+        run_walk(build_ring(6), alpha, series, 0, TimeGrid(0.0, 1.0, 3))
+
+
 def test_hermitian_adjacency_limits():
     g = build_star(3)
     a = g.adjacency()
@@ -85,6 +98,22 @@ def test_hermitian_adjacency_limits():
     ah = hermitian_adjacency(g, 0.7).matrix
     assert np.allclose(hermitian_adjacency(g, -0.7).matrix, ah.conj())
     assert np.allclose(ah, ah.conj().T)
+    # the real and imaginary planes cos(alpha)(A + A^T) and sin(alpha)(A - A^T)
+    # are bit for bit the defining sum, and exactly Hermitian
+    rng = np.random.default_rng(300)
+    present = rng.random((300, 300)) < 0.02
+    np.fill_diagonal(present, False)
+    i, j = np.nonzero(present)
+    big = DirectedGraph(300, frozenset(zip(i.tolist(), j.tolist())))
+    a = big.adjacency()
+    alphas = [*rng.uniform(-7.0, 7.0, 200), 0.0, math.pi / 2, -math.pi / 2, math.pi, 1e-300]
+    for alpha in alphas:
+        ah = hermitian_adjacency(big, alpha).matrix
+        assert np.array_equal(ah, np.exp(1j * alpha) * a + np.exp(-1j * alpha) * a.T), alpha
+        assert np.array_equal(ah, ah.conj().T), alpha
+    assert len(alphas) == 205
+    # pi/2 is not special-cased: cos(fl(pi/2)) leaves the real plane non-zero
+    assert np.max(np.abs(hermitian_adjacency(big, math.pi / 2).matrix.real)) > 0.0
 
 
 def test_star_hermitian_adjacency_spectrum():
@@ -223,8 +252,6 @@ def test_assemble_two_site_exp_closed_form():
 
 
 def test_assemble_is_real_symmetric():
-    from ctqw import DirectedGraph
-
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(2, 9))
@@ -276,24 +303,30 @@ def _criterion_3_cells():
             yield hermitian_adjacency(graph, alpha), series
 
 
-def test_horner_coupling_is_gated_and_no_less_accurate_than_spectral():
+# (x - 1)^5: on some cells one ulp of its ~8000-sized entries exceeds the absolute
+# 1e-12 Hermiticity gate, so only an exactly Hermitian Horner J runs there
+_QUINTIC = CouplingSeries.polynomial((-1.0, 5.0, -10.0, 10.0, -5.0, 1.0))
+
+
+def test_horner_coupling_is_hermitian_and_no_less_accurate_than_spectral():
     eps = np.finfo(float).eps
     worst_horner = worst_spectral = 0.0
     cells = 0
-    for op, series in _criterion_3_cells():
+    for op, cell_series in _criterion_3_cells():
         x = op.matrix
-        raw = _hermitian_horner(series.coefficients, x)
-        assert np.max(np.abs(raw - raw.conj().T)) <= HERMITICITY_TOL
-        horner = apply_coupling(series, op).matrix
         w, v = np.linalg.eigh(x)
-        spectral = (v * series.scalar(w)) @ v.conj().T
-        oracle = _clongdouble_polynomial(series.coefficients, x)
-        err_h = float(np.max(np.abs(horner - oracle)))
-        err_s = float(np.max(np.abs(spectral - oracle)))
-        # below one rounding of the largest entry neither route can be told apart
-        floor = eps * float(np.max(np.abs(oracle)))
-        assert err_h <= max(err_s, floor), (cells, err_h, err_s)
-        worst_horner, worst_spectral = max(worst_horner, err_h), max(worst_spectral, err_s)
+        for series in (cell_series, _QUINTIC):
+            raw = _hermitian_horner(series.coefficients, x)
+            assert np.array_equal(raw, raw.conj().T)
+            horner = apply_coupling(series, op).matrix
+            spectral = (v * series.scalar(w)) @ v.conj().T
+            oracle = _clongdouble_polynomial(series.coefficients, x)
+            err_h = float(np.max(np.abs(horner - oracle)))
+            err_s = float(np.max(np.abs(spectral - oracle)))
+            # below one rounding of the largest entry neither route can be told apart
+            floor = eps * float(np.max(np.abs(oracle)))
+            assert err_h <= max(err_s, floor), (cells, series, err_h, err_s)
+            worst_horner, worst_spectral = max(worst_horner, err_h), max(worst_spectral, err_s)
         cells += 1
     assert cells == 300
     assert worst_horner <= worst_spectral
@@ -301,7 +334,7 @@ def test_horner_coupling_is_gated_and_no_less_accurate_than_spectral():
 
 def test_horner_cancelling_polynomial_within_a_priori_bound():
     # (x - 1)^5 on X = I + R/100: terms of size ~32 cancel to ~1e-10.
-    coefficients = (-1.0, 5.0, -10.0, 10.0, -5.0, 1.0)
+    coefficients = _QUINTIC.coefficients
     d = len(coefficients) - 1
     rng = np.random.default_rng(5)
     for n in (4, 10, 30):
@@ -348,19 +381,30 @@ def _count_eigh(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "series, dtypes",
+    "series, dtypes, gates",
     [
-        (CouplingSeries.polynomial([0.0, 1.0, 0.5, 1.0 / 6.0]), [np.float64]),
-        (CouplingSeries.exp(), [np.complex128, np.float64]),
+        (CouplingSeries.polynomial([0.0, 1.0, 0.5, 1.0 / 6.0]), [np.float64], 0),
+        (CouplingSeries.exp(), [np.complex128, np.float64], 1),
         (CouplingSeries.polynomial([1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002]),
-         [np.complex128, np.float64]),
+         [np.complex128, np.float64], 1),
+        (CouplingSeries.identity(), [np.float64], 0),
     ],
-    ids=["cubic", "exp", "degree-8"],
+    ids=["cubic", "exp", "degree-8", "identity"],
 )
-def test_dense_walk_eigensolves(monkeypatch, series, dtypes):
+def test_dense_walk_eigensolves(monkeypatch, series, dtypes, gates):
     # a polynomial of degree <= 7 skips the complex eigensolve of A_H;
     # only the real one of H is left
     calls = _count_eigh(monkeypatch)
+    # A_H, a Horner J and H are Hermitian by construction: only a spectral J is gated
+    gated = []
+    post_init = HermitianOperator.__post_init__
+
+    def counting_post_init(op):
+        gated.append(op)
+        post_init(op)
+
+    monkeypatch.setattr(HermitianOperator, "__post_init__", counting_post_init)
     result = run_walk(build_ring(12), 0.4, series, 0, TimeGrid(0.0, 2.0, 9))
     assert result.normalization_defect <= 1e-10
     assert calls == dtypes
+    assert len(gated) == gates
