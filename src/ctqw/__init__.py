@@ -29,6 +29,7 @@ from .operators import (
     NonFiniteOperatorError,
     apply_coupling,
     assemble_hamiltonian,
+    hamiltonian_eigensystem,
     hermitian_adjacency,
     hermitian_eigendecomposition,
     parse_phase,

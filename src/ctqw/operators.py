@@ -12,6 +12,10 @@ J(A_H) is Hermitian for real series, so H = 2 Re J(A_H) is real symmetric.
 A_H, H and a short polynomial J (Horner products) are Hermitian by
 construction and only checked for finite entries; any other J is spectral,
 V J(w) V^H, and is gated like every operator a caller builds.
+
+An undirected graph (A = A^T) has the real A_H = cos(alpha) S with
+S = A + A^T = V diag(l) V^T, so H = V diag(2 J(cos(alpha) l)) V^T for every
+series: one real eigensolve of S gives the whole walk, and no J is formed.
 """
 
 from __future__ import annotations
@@ -45,7 +49,12 @@ class NonFiniteOperatorError(ArithmeticError):
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    # halving first keeps M + M^H from overflowing for entries near the float maximum;
+    # adding in place holds no third N x N array (numpy copies an operand that
+    # overlaps its output, as a real M^H = M^T does)
+    h = m * 0.5
+    h += h.conj().T
+    return h
 
 
 def _require_finite(values) -> None:
@@ -315,3 +324,29 @@ def assemble_hamiltonian(g, alpha: float, series: CouplingSeries) -> HermitianOp
     """
     j = apply_coupling(series, hermitian_adjacency(g, alpha))
     return HermitianOperator._by_construction(2.0 * j.matrix.real)
+
+
+def _undirected_hamiltonian(s: EigenSystem, alpha: float, series: CouplingSeries) -> EigenSystem:
+    """Eigensystem of H(alpha) from that of S = A + A^T of an undirected graph.
+
+    H = V diag(2 J(cos(alpha) l)) V^T; the pairs are sorted ascending, and
+    non-finite values raise NonFiniteOperatorError.
+    """
+    w = 2.0 * series.scalar(np.cos(alpha) * s.values)
+    _require_finite(w)
+    order = np.argsort(w, kind="stable")
+    return EigenSystem(w[order], s.vectors[:, order])
+
+
+def hamiltonian_eigensystem(g, alpha: float, series: CouplingSeries) -> EigenSystem:
+    """Ascending eigensystem of the walk Hamiltonian of a directed graph.
+
+    An undirected graph takes one real eigensolve of S = A + A^T, whose
+    eigensystem serves every alpha and series; any other graph takes the
+    eigensolve of ``assemble_hamiltonian``'s H.
+    """
+    if not g.is_symmetric:
+        return hermitian_eigendecomposition(assemble_hamiltonian(g, alpha, series))
+    a = g.adjacency()
+    s = hermitian_eigendecomposition(HermitianOperator._by_construction(a + a.T))
+    return _undirected_hamiltonian(s, alpha, series)

@@ -2,8 +2,11 @@
 
 Probabilities are P(i, t) = |<i| exp(-iHt) |psi0>|^2.  Both engines move psi0
 into an eigenbasis, apply exp(-iwt) and move back through ``propagate``:
-circulant specs use the Fourier basis, plain directed graphs one dense
-eigendecomposition per (graph, alpha, series).
+circulant specs use the Fourier basis, plain directed graphs the real
+eigenbasis of H from ``hamiltonian_eigensystem``.  That is one real
+eigensolve of A + A^T for an undirected graph, whatever alpha and series,
+and for any other graph the eigensolve of H assembled per (graph, alpha,
+series).
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from .graphs import CirculantSpec, DirectedGraph
 from .operators import (
     CouplingSeries,
     EigenSystem,
-    assemble_hamiltonian,
-    hermitian_eigendecomposition,
+    hamiltonian_eigensystem,
     propagate,
 )
 from .spectral import circulant_amplitudes
@@ -181,7 +183,7 @@ def propagator(graph_or_spec, alpha: float, series: CouplingSeries):
             graph_or_spec, alpha, series, psi0, grid, visit
         )
     if isinstance(graph_or_spec, DirectedGraph):
-        es = hermitian_eigendecomposition(assemble_hamiltonian(graph_or_spec, alpha, series))
+        es = hamiltonian_eigensystem(graph_or_spec, alpha, series)
         return lambda psi0, grid, visit=None: _dense_amplitudes(es, psi0, grid, visit)
     raise TypeError(f"expected DirectedGraph or CirculantSpec, got {type(graph_or_spec)!r}")
 

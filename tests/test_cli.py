@@ -115,32 +115,39 @@ def test_bad_inputs_exit_one(tmp_path):
     assert main(["simulate", "--config", write_config(tmp_path, huge_phase)]) == 1
 
 
+def _complete_edges(n, missing=()):
+    return "".join(f"{i} {j}\n" for i in range(n) for j in range(n) if i != j and (i, j) not in missing)
+
+
 def test_non_finite_coupling_exits_three(tmp_path, capsys):
     # exp(A_H) of the complete 400-node digraph at alpha 0 reaches e^798, past
-    # the float range: J is non-finite, a numerical failure and not a config error
+    # the float range: a numerical failure and not a config error.  The complete
+    # digraph is undirected, so its J(w) overflows on the eigenvalues of S = A + A^T;
+    # without the edge (0, 1) it is directed and the spectral V J(w) V^H overflows
     n = 400
     graph_path = tmp_path / "complete.txt"
-    graph_path.write_text(
-        f"n {n}\n" + "".join(f"{i} {j}\n" for i in range(n) for j in range(n) if i != j)
-    )
     cfg = simulate_cfg(graph={"family": "edge-list", "path": str(graph_path)}, alphas=[0],
                        coupling={"kind": "exp"}, output={"csv": "never.csv"})
-    with pytest.warns(RuntimeWarning) as warned:  # numpy's own overflow and NaN warnings
-        code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
-    assert any("overflow" in str(w.message) for w in warned)
-    assert code == 3
-    assert "numeric failure: operator has non-finite entries" in capsys.readouterr().err
-    assert not (tmp_path / "never.csv").exists()
-    # the Horner route: on the complete 4-node digraph at alpha 1, J = 1e308 A_H has
-    # entries 2 cos(1) 1e308 and is finite, and only H = 2 Re J overflows
-    edges = "".join(f"{i} {j}\n" for i in range(4) for j in range(4) if i != j)
-    graph_path.write_text("n 4\n" + edges)
+    for missing in ((), ((0, 1),)):
+        graph_path.write_text(f"n {n}\n" + _complete_edges(n, missing))
+        with pytest.warns(RuntimeWarning) as warned:  # numpy's own overflow and NaN warnings
+            code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
+        assert any("overflow" in str(w.message) for w in warned)
+        assert code == 3
+        assert "numeric failure: operator has non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+    # polynomial [0, 1e308] at alpha 1 on the complete 4-node digraph: J(6 cos(1))
+    # overflows on the largest eigenvalue 6 of S.  Without the edge (0, 1) the
+    # Horner J = 1e308 A_H has entries up to 2 cos(1) 1e308 and is finite, and
+    # only H = 2 Re J overflows
     cfg.update(alphas=[1], coupling={"kind": "polynomial", "coefficients": [0, 1e308]})
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
-    assert code == 3
-    assert "numeric failure: operator has non-finite entries" in capsys.readouterr().err
-    assert not (tmp_path / "never.csv").exists()
+    for missing in ((), ((0, 1),)):
+        graph_path.write_text("n 4\n" + _complete_edges(4, missing))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "numeric failure: operator has non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

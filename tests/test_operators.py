@@ -1,6 +1,7 @@
 """Phase handling, coupling series, and Hamiltonian assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ctqw import (
     assemble_hamiltonian,
     build_ring,
     build_star,
+    hamiltonian_eigensystem,
     hermitian_adjacency,
     hermitian_eigendecomposition,
     parse_phase,
@@ -25,7 +27,7 @@ from ctqw import (
     random_polynomial_series,
     run_walk,
 )
-from ctqw.operators import _hermitian_horner
+from ctqw.operators import _hermitian_horner, _hermitian_part
 
 
 def test_parse_phase_tokens():
@@ -61,6 +63,24 @@ def test_hermitian_operator_contract():
         op.matrix[0, 0] = 5.0
 
 
+def test_hermitian_operator_keeps_entries_near_the_float_maximum():
+    # M + M^H overflows for finite entries above about 9e307; halving first does not
+    big = 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        real = HermitianOperator(np.diag([1e308, 1.0]))
+        cplx = HermitianOperator(np.array([[big, big + big * 1j], [big - big * 1j, -big]]))
+    assert np.array_equal(real.matrix, np.diag([1e308, 1.0]))
+    assert np.isfinite(cplx.matrix).all()
+    assert np.array_equal(cplx.matrix, cplx.matrix.conj().T)
+    # halving is exact outside the subnormal range, so ordinary entries keep the
+    # bits of (M + M^H)/2
+    rng = np.random.default_rng(9)
+    m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    assert np.array_equal(_hermitian_part(m), (m + m.conj().T) / 2.0)
+    assert np.array_equal(_hermitian_part(m.real), (m.real + m.real.T) / 2.0)
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
@@ -85,9 +105,11 @@ def test_hermitian_operator_rejects_non_finite_entries(matrix):
     ids=["exp", "quadratic"],
 )
 def test_non_finite_phase_raises_non_finite_operator_error(alpha, series):
-    # a library caller's NaN or infinite phase gives a non-finite A_H, never a ValueError
-    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteOperatorError, match="non-finite"):
-        run_walk(build_ring(6), alpha, series, 0, TimeGrid(0.0, 1.0, 3))
+    # a library caller's NaN or infinite phase gives a non-finite A_H, or on an
+    # undirected graph non-finite eigenvalues of H, never a ValueError
+    for graph in (build_ring(6), build_ring(6, directed=False)):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteOperatorError, match="non-finite"):
+            run_walk(graph, alpha, series, 0, TimeGrid(0.0, 1.0, 3))
 
 
 def test_hermitian_adjacency_limits():
@@ -380,20 +402,29 @@ def _count_eigh(monkeypatch):
     return calls
 
 
+_CUBIC = CouplingSeries.polynomial([0.0, 1.0, 0.5, 1.0 / 6.0])
+_DEGREE_8 = CouplingSeries.polynomial([1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002])
+
+
 @pytest.mark.parametrize(
-    "series, dtypes, gates",
+    "directed, series, dtypes, gates",
     [
-        (CouplingSeries.polynomial([0.0, 1.0, 0.5, 1.0 / 6.0]), [np.float64], 0),
-        (CouplingSeries.exp(), [np.complex128, np.float64], 1),
-        (CouplingSeries.polynomial([1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002]),
-         [np.complex128, np.float64], 1),
-        (CouplingSeries.identity(), [np.float64], 0),
+        (True, _CUBIC, [np.float64], 0),
+        (True, CouplingSeries.exp(), [np.complex128, np.float64], 1),
+        (True, _DEGREE_8, [np.complex128, np.float64], 1),
+        (True, CouplingSeries.identity(), [np.float64], 0),
+        (False, _CUBIC, [np.float64], 0),
+        (False, CouplingSeries.exp(), [np.float64], 0),
+        (False, _DEGREE_8, [np.float64], 0),
+        (False, CouplingSeries.identity(), [np.float64], 0),
     ],
-    ids=["cubic", "exp", "degree-8", "identity"],
+    ids=["cubic", "exp", "degree-8", "identity",
+         "undirected-cubic", "undirected-exp", "undirected-degree-8", "undirected-identity"],
 )
-def test_dense_walk_eigensolves(monkeypatch, series, dtypes, gates):
+def test_dense_walk_eigensolves(monkeypatch, directed, series, dtypes, gates):
     # a polynomial of degree <= 7 skips the complex eigensolve of A_H;
-    # only the real one of H is left
+    # only the real one of H is left.  An undirected graph takes the one real
+    # eigensolve of S = A + A^T whatever the series.
     calls = _count_eigh(monkeypatch)
     # A_H, a Horner J and H are Hermitian by construction: only a spectral J is gated
     gated = []
@@ -404,7 +435,74 @@ def test_dense_walk_eigensolves(monkeypatch, series, dtypes, gates):
         post_init(op)
 
     monkeypatch.setattr(HermitianOperator, "__post_init__", counting_post_init)
-    result = run_walk(build_ring(12), 0.4, series, 0, TimeGrid(0.0, 2.0, 9))
+    result = run_walk(build_ring(12, directed), 0.4, series, 0, TimeGrid(0.0, 2.0, 9))
     assert result.normalization_defect <= 1e-10
     assert calls == dtypes
     assert len(gated) == gates
+
+
+def test_undirected_eigensystem_is_ascending_and_keeps_half_pi_real():
+    ring = build_ring(200, directed=False)
+    for alpha in (0.0, 0.7, math.pi / 2, -2.5, 3.0):
+        for series in (CouplingSeries.exp(), CouplingSeries.cosh(), _CUBIC):
+            assert np.all(np.diff(hamiltonian_eigensystem(ring, alpha, series).values) >= 0.0)
+    # cos(fl(pi/2)) = 6.1e-17 is not rounded to zero: H keeps a spread of eigenvalues
+    assert np.ptp(hamiltonian_eigensystem(ring, math.pi / 2, CouplingSeries.identity()).values) > 0.0
+
+
+def test_undirected_eigensystem_failures_keep_their_errors(monkeypatch):
+    complete = DirectedGraph(4, frozenset((i, j) for i in range(4) for j in range(4) if i != j))
+    # the largest eigenvalue 6 of S gives J(6 cos(1)) = 3.2e308 past the float range
+    with np.errstate(over="ignore"), pytest.raises(
+        NonFiniteOperatorError, match="^operator has non-finite entries$"
+    ):
+        hamiltonian_eigensystem(complete, 1.0, CouplingSeries.polynomial([0.0, 1e308]))
+
+    def failing_eigh(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(EigendecompositionError, match="did not converge"):
+        hamiltonian_eigensystem(complete, 1.0, CouplingSeries.exp())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 7),
+    alpha=st.floats(-7.0, 7.0, allow_nan=False),
+)
+def test_undirected_eigensystem_matches_assembled_hamiltonian(seed, degree, alpha):
+    rng = np.random.default_rng(seed)
+    directed = random_directed_graph(rng, max_nodes=24)
+    g = DirectedGraph(directed.n, directed.edges | {(j, i) for i, j in directed.edges})
+    c = rng.uniform(-1.0, 1.0, degree + 1)
+    series = CouplingSeries.polynomial(c)
+    es = hamiltonian_eigensystem(g, alpha, series)
+    rebuilt = (es.vectors * es.values) @ es.vectors.T
+    h = assemble_hamiltonian(g, alpha, series).matrix
+    # Both routes are held to the exact H = 2 J(X), X = cos(alpha) S, |X|_inf = rho,
+    # on the sum-of-moduli scale sum_k |c_k| rho^k that bounds J's entries and
+    # eigenvalues; max|H| alone is no bound when the terms cancel.
+    # - Horner (assemble_hamiltonian): within gamma_m of the scale, m as in
+    #   test_horner_cancelling_polynomial_within_a_priori_bound, doubled by 2 Re J.
+    # - One real eigh of S (hamiltonian_eigensystem): LAPACK's symmetric solver is
+    #   backward stable, S + E = V L V^T with |E|_2 and |V^T V - I|_2 within n eps
+    #   |S|_2 and n eps (LAPACK Users' Guide, 4.7, with p(n) = n).  By the
+    #   Daleckii-Krein formula E moves J(X) by at most max|J'| |cos(alpha) E|_F
+    #   <= d n^1.5 eps times the scale; V's departure from orthogonality costs
+    #   2 n eps, the product V diag(w) V^T gamma_n and the scalar Horner
+    #   values gamma_2d, each of max|w| <= 2 scale.
+    n, d = g.n, degree
+    eps = np.finfo(float).eps
+    u = eps / 2
+
+    def gamma(m):
+        return m * u / (1 - m * u)
+
+    a = g.adjacency()
+    rho = abs(math.cos(alpha)) * float(np.abs(a + a.T).sum(axis=1).max())
+    scale = sum(abs(ck) * rho**k for k, ck in enumerate(c))
+    m = 2 + max(d - 1, 0) * (3 * n + 2)
+    tol = 2 * scale * (gamma(m) + d * n**1.5 * eps + 2 * n * eps + gamma(n) + gamma(2 * d))
+    assert float(np.max(np.abs(rebuilt - h))) <= tol

@@ -214,13 +214,13 @@ def test_suppression_gates_each_start_on_its_own(monkeypatch):
     # is the last of them.
     graph = build_moebius_ladder(150)
     k = bipartition(graph).even[-1]
-    solve = ctqw.walk.hermitian_eigendecomposition
+    solve = ctqw.walk.hamiltonian_eigensystem
 
-    def skewed(op):
-        es = solve(op)
-        return EigenSystem(es.values, es.vectors * np.where(np.arange(op.n) == k, 1.001, 1.0)[:, None])
+    def skewed(g, alpha, series):
+        es = solve(g, alpha, series)
+        return EigenSystem(es.values, es.vectors * np.where(np.arange(g.n) == k, 1.001, 1.0)[:, None])
 
-    monkeypatch.setattr(ctqw.walk, "hermitian_eigendecomposition", skewed)
+    monkeypatch.setattr(ctqw.walk, "hamiltonian_eigensystem", skewed)
     with pytest.raises(NormalizationError, match=f"walk from node {k}:"):
         check_transport_suppression(graph, EXP, TimeGrid(0.0, 0.0, 1))
 

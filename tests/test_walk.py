@@ -85,6 +85,35 @@ def test_run_walk_routes_agree():
             assert np.max(np.abs(fast.probabilities - dense.probabilities)) < 1e-11
 
 
+_UNDIRECTED_SPECS = [
+    *(ring_spec(n, directed=False) for n in (7, 10, 200)),
+    *(moebius_spec(n, outer_directed=False) for n in (10, 200)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", _UNDIRECTED_SPECS, ids=["ring7", "ring10", "ring200", "moebius10", "moebius200"]
+)
+def test_undirected_dense_route_matches_fourier_engine(spec):
+    # the one real eigensolve of S = A + A^T against the independent Fourier
+    # engine, at acceptance criterion 6's tolerance (a Moebius ladder needs an
+    # even node count)
+    graph = spec.to_graph()
+    assert graph.is_symmetric
+    grid = TimeGrid(0.0, 10.0, 80)
+    series_kinds = (
+        CouplingSeries.exp(),
+        CouplingSeries.sinh(),
+        CouplingSeries.cosh(),
+        CouplingSeries.polynomial([0.2, 1.0, -0.5, 0.3]),
+    )
+    for series in series_kinds:
+        for alpha in (0.0, 0.7, math.pi / 2, -2.5, 3.0):
+            fast = run_walk(spec, alpha, series, 1, grid).amplitudes
+            dense = run_walk(graph, alpha, series, 1, grid).amplitudes
+            assert np.max(np.abs(fast - dense)) <= 1e-9, (series, alpha)
+
+
 @pytest.mark.parametrize("steps", [1, TIME_CHUNK - 1, TIME_CHUNK, TIME_CHUNK + 1])
 def test_dense_walk_matches_complex_eigh_reference(steps):
     # Inline reference: complex Hermitian eigensolves of A_H and of
