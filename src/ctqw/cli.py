@@ -369,6 +369,8 @@ def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
         _config_int(check_cfg.get(key, fallback), f"{context}: '{key}'")
         for key, fallback in _CHECK_INT_DEFAULTS.items()
     )
+    if count < 1 or max_nodes < 2 or max_degree < 0:
+        raise ConfigError(f"{context}: needs 'count' >= 1, 'max_nodes' >= 2 and 'max_degree' >= 0")
     deltas = _config_list(check_cfg, "deltas", _config_phase, context)
     partition = _config_list(check_cfg, "partition", _config_int, context)
     half_pi = check_cfg.get("half_pi")

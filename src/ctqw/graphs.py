@@ -85,20 +85,19 @@ class CirculantSpec:
         c = self.coefficients
         return all(c[k] == c[(self.n - k) % self.n] for k in range(self.n))
 
-    def to_graph(self) -> DirectedGraph:
-        """Interpret the spec as a directed graph adjacency matrix."""
-        c = self.coefficients
+    def support_graph(self) -> DirectedGraph:
+        """The graph with an edge i -> i + k for every nonzero c_k, k >= 1; needs c_0 = 0."""
+        c, n = self.coefficients, self.n
         if c[0] != 0.0:
             raise ValueError("adjacency circulant must have c_0 = 0 (no self-loops)")
-        if any(v not in (0.0, 1.0) for v in c):
+        edges = {(i, (i + k) % n) for k in range(1, n) if c[k] for i in range(n)}
+        return DirectedGraph(n, frozenset(edges))
+
+    def to_graph(self) -> DirectedGraph:
+        """Interpret the spec as a directed graph adjacency matrix."""
+        if any(v not in (0.0, 1.0) for v in self.coefficients):
             raise ValueError("adjacency circulant coefficients must be 0 or 1")
-        edges = {
-            (i, (i + k) % self.n)
-            for k in range(1, self.n)
-            if c[k] == 1.0
-            for i in range(self.n)
-        }
-        return DirectedGraph(self.n, frozenset(edges))
+        return self.support_graph()
 
 
 def build_star(n_peripheral: int, directed: bool = True) -> DirectedGraph:
@@ -195,8 +194,8 @@ def bipartition(g: DirectedGraph) -> Bipartition | None:
         neighbors[i].add(j)
         neighbors[j].add(i)
     color = [-1] * g.n
-    for comp in weakly_connected_components(g):
-        root = comp[0]
+    # filtered lazily: nodes an earlier search coloured are skipped, so roots are component minima
+    for root in (v for v in range(g.n) if color[v] == -1):
         color[root] = 0
         queue = deque([root])
         while queue:

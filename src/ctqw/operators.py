@@ -209,8 +209,8 @@ class CouplingSeries:
 
 
 def hermitian_adjacency(g, alpha: float) -> HermitianOperator:
-    """A_H(alpha) = exp(i alpha) A + exp(-i alpha) A^T for a directed graph."""
-    a = g.adjacency()
+    """A_H(alpha) = exp(i alpha) A + exp(-i alpha) A^T for a directed graph or its adjacency A."""
+    a = g if isinstance(g, np.ndarray) else g.adjacency()
     m = np.empty(a.shape, dtype=complex)
     m.real = np.cos(alpha) * (a + a.T)
     m.imag = np.sin(alpha) * (a - a.T)
@@ -238,12 +238,15 @@ def propagate(values, phi, grid, to_nodes, visit=None):
     With ``visit``, ``phi`` is an (S, N) stack of states that share each
     phase block: chunk ``rows`` of state s is passed as
     ``visit(s, rows, amplitudes)`` and nothing is kept or returned, so the
-    scratch stays O(N * TIME_CHUNK) whatever S.
+    scratch stays O(N * TIME_CHUNK) whatever S.  Without ``visit``, a stack
+    of more than one state raises ValueError.
     """
     times = grid.times()
     phi = np.atleast_2d(phi)
     amps = None
     if visit is None:
+        if phi.shape[0] > 1:
+            raise ValueError(f"a stack of {phi.shape[0]} states needs visit")
         amps = np.empty((times.size, phi.shape[1]), dtype=complex)
 
         def visit(_, rows, block):
@@ -322,7 +325,11 @@ def assemble_hamiltonian(g, alpha: float, series: CouplingSeries) -> HermitianOp
     J(A_H) is stored exactly Hermitian, so its plain transpose is its
     conjugate and the sum is exactly 2 Re J(A_H), a real symmetric matrix.
     """
-    j = apply_coupling(series, hermitian_adjacency(g, alpha))
+    return _hamiltonian(hermitian_adjacency(g, alpha), series)
+
+
+def _hamiltonian(ah: HermitianOperator, series: CouplingSeries) -> HermitianOperator:
+    j = apply_coupling(series, ah)
     return HermitianOperator._by_construction(2.0 * j.matrix.real)
 
 
@@ -341,12 +348,14 @@ def _undirected_hamiltonian(s: EigenSystem, alpha: float, series: CouplingSeries
 def hamiltonian_eigensystem(g, alpha: float, series: CouplingSeries) -> EigenSystem:
     """Ascending eigensystem of the walk Hamiltonian of a directed graph.
 
-    An undirected graph takes one real eigensolve of S = A + A^T, whose
-    eigensystem serves every alpha and series; any other graph takes the
-    eigensolve of ``assemble_hamiltonian``'s H.
+    The adjacency is built once.  An undirected one (A = A^T) takes one real
+    eigensolve of S = A + A^T, which serves every alpha and series; any other
+    takes the eigensolve of ``assemble_hamiltonian``'s H.
     """
-    if not g.is_symmetric:
-        return hermitian_eigendecomposition(assemble_hamiltonian(g, alpha, series))
     a = g.adjacency()
-    s = hermitian_eigendecomposition(HermitianOperator._by_construction(a + a.T))
-    return _undirected_hamiltonian(s, alpha, series)
+    if (a == a.T).all():
+        s = hermitian_eigendecomposition(HermitianOperator._by_construction(a + a.T))
+        return _undirected_hamiltonian(s, alpha, series)
+    ah = hermitian_adjacency(a, alpha)
+    del a  # J's N x N products, which set the peak memory, do not need A
+    return hermitian_eigendecomposition(_hamiltonian(ah, series))

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CirculantSpec, DirectedGraph, bipartition
+from .graphs import CirculantSpec, DirectedGraph, Edge, bipartition
 from .operators import TIME_CHUNK, CouplingSeries
-from .walk import DEFAULT_TIME_GRID, TimeGrid, propagator, row_norm_defect, run_walk
+from .walk import DEFAULT_TIME_GRID, TimeGrid, _as_state, propagator, row_norm_defect, run_walk
 
 TOL_SUPPRESSION = 1e-10
 TOL_MIRROR = 1e-9
@@ -51,6 +51,11 @@ def _graph_of(graph_or_spec) -> DirectedGraph:
     raise TypeError(f"expected DirectedGraph or CirculantSpec, got {type(graph_or_spec)!r}")
 
 
+def _one_way_edges(g: DirectedGraph) -> set[Edge]:
+    """Edges without their reverse: the support of A - A^T, all that A_H(pi/2) sees."""
+    return {(i, j) for i, j in g.edges if (j, i) not in g.edges}
+
+
 def _default_label(graph_or_spec) -> str:
     if isinstance(graph_or_spec, CirculantSpec):
         return f"circulant-n{graph_or_spec.n}"
@@ -65,32 +70,27 @@ def check_transport_suppression(
 ) -> PropertyReport:
     """At alpha = pi/2, walks started in one partition never cross to the other.
 
-    Without an explicit ``partition`` the graph must be bipartite.  With one,
-    every edge joining two nodes of the same side must be bidirected (those
-    pairs cancel in A_H(pi/2)); the given side is then walked from each of
-    its nodes and the probability on the complement is the deviation.
+    The partition defaults to the even side of the graph's bipartition.  A
+    given one is valid when no one-way edge joins two nodes of the same side
+    (bidirected pairs cancel in A_H(pi/2)); the side is then walked from each
+    of its nodes and the probability on the complement is the deviation.
     """
     graph = _graph_of(graph_or_spec)
     if partition is None:
         parts = bipartition(graph)
         if parts is None:
             raise ValueError(
-                "graph is not bipartite; pass an explicit partition whose "
-                "intra-partition edges are all bidirected"
+                "graph is not bipartite; pass a partition with no one-way edge inside a side"
             )
-        starts = parts.even
-        others = parts.odd
-    else:
-        starts = tuple(sorted({int(i) for i in partition}))
-        if not starts or any(not (0 <= i < graph.n) for i in starts):
-            raise ValueError(f"partition must be a nonempty subset of 0..{graph.n - 1}")
-        side = set(starts)
-        others = tuple(i for i in range(graph.n) if i not in side)
-        for i, j in graph.edges:
-            if (i in side) == (j in side) and (j, i) not in graph.edges:
-                raise ValueError(
-                    f"edge ({i}, {j}) joins one partition side but is not bidirected"
-                )
+        partition = parts.even
+    starts = tuple(sorted({int(i) for i in partition}))
+    if not starts or any(not (0 <= i < graph.n) for i in starts):
+        raise ValueError(f"partition must be a nonempty subset of 0..{graph.n - 1}")
+    side = set(starts)
+    others = tuple(i for i in range(graph.n) if i not in side)
+    inside = sorted((i, j) for i, j in _one_way_edges(graph) if (i in side) == (j in side))
+    if inside:
+        raise ValueError(f"edge {inside[0]} joins one partition side but is not bidirected")
     amplitudes = propagator(graph_or_spec, HALF_PI, series)
     deviation = 0.0
 
@@ -114,17 +114,18 @@ def check_transport_suppression(
     )
 
 
-def _state_parity(initial, n: int) -> int | None:
-    """0/1 when the state is supported on a single index parity, else None."""
-    if isinstance(initial, (int, np.integer)):
-        return int(initial) % 2
-    support = np.nonzero(np.abs(np.asarray(initial)) > 0.0)[0]
-    parities = {int(i) % 2 for i in support}
-    return parities.pop() if len(parities) == 1 else None
+def _half_pi_eligible(graph_or_spec, psi: np.ndarray) -> bool:
+    """Whether the graph, with one more node joined to all of psi's support, is bipartite.
 
-
-def _is_bipartite_spec(c: CirculantSpec) -> bool:
-    return c.n % 2 == 0 and all(c.coefficients[k] == 0.0 for k in range(0, c.n, 2))
+    Equivalently, the graph is bipartite and psi lies on one side of each weakly connected
+    component.  A circulant spec's graph is that of its nonzero offsets.
+    """
+    spec = isinstance(graph_or_spec, CirculantSpec)
+    if spec and graph_or_spec.coefficients[0] != 0.0:  # a self-loop on every node
+        return False
+    graph = graph_or_spec.support_graph() if spec else _graph_of(graph_or_spec)
+    support = {(graph.n, int(i)) for i in np.flatnonzero(psi)}
+    return bipartition(DirectedGraph(graph.n + 1, graph.edges | support)) is not None
 
 
 def check_mirror_symmetries(
@@ -135,43 +136,35 @@ def check_mirror_symmetries(
     grid: TimeGrid = DEFAULT_TIME_GRID,
     half_pi_branch: bool | None = None,
 ) -> PropertyReport:
-    """Probability fields are even in alpha, and mirror about pi/2 on
-    bipartite circulants.
+    """Probability fields are even in alpha, and mirror about pi/2 on bipartite graphs.
 
     The alpha -> -alpha branch runs for every delta in ``deltas`` on any
     input.  The pi/2 branch (P at pi/2 + delta vs pi/2 - delta, plus the
-    implied pi-periodicity) needs a bipartite circulant spec and an initial
-    state supported on a single index parity; ``half_pi_branch`` forces it
-    on (ValueError when the preconditions fail), off, or automatic (None).
+    implied pi-periodicity) needs a bipartite graph (a circulant spec's is
+    that of its nonzero offsets) and an initial state supported on one side
+    of every weakly connected component; ``half_pi_branch`` forces it on
+    (ValueError when the preconditions fail), off, or automatic (None).
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ValueError("need at least one delta")
-    eligible = isinstance(graph_or_spec, CirculantSpec) and _is_bipartite_spec(graph_or_spec)
-    n = graph_or_spec.n
-    eligible = eligible and _state_parity(initial, n) is not None
+    initial = _as_state(initial, graph_or_spec.n)
+    eligible = _half_pi_eligible(graph_or_spec, initial)
     if half_pi_branch is True and not eligible:
-        raise ValueError(
-            "pi/2 mirror branch needs a bipartite circulant spec and a "
-            "single-parity initial state"
-        )
+        raise ValueError("pi/2 mirror branch needs a bipartite graph and a one-sided initial state")
     run_half_pi = eligible if half_pi_branch is None else half_pi_branch
+
+    def walk(alpha):
+        return run_walk(graph_or_spec, alpha, series, initial, grid).probabilities
+
     deviation = 0.0
     for delta in deltas:
-        p_plus = run_walk(graph_or_spec, delta, series, initial, grid).probabilities
-        p_minus = run_walk(graph_or_spec, -delta, series, initial, grid).probabilities
-        deviation = max(deviation, float(np.max(np.abs(p_plus - p_minus))))
+        p_plus = walk(delta)
+        pairs = [(p_plus, walk(-delta))]
         if run_half_pi:
-            q_plus = run_walk(graph_or_spec, HALF_PI + delta, series, initial, grid)
-            q_minus = run_walk(graph_or_spec, HALF_PI - delta, series, initial, grid)
-            deviation = max(
-                deviation,
-                float(np.max(np.abs(q_plus.probabilities - q_minus.probabilities))),
-            )
-            p_shift = run_walk(graph_or_spec, delta + math.pi, series, initial, grid)
-            deviation = max(
-                deviation, float(np.max(np.abs(p_plus - p_shift.probabilities)))
-            )
+            pairs.append((walk(HALF_PI + delta), walk(HALF_PI - delta)))
+            pairs.append((p_plus, walk(delta + math.pi)))
+        deviation = max(deviation, *(float(np.max(np.abs(a - b))) for a, b in pairs))
     return PropertyReport("mirror", _default_label(graph_or_spec), deviation, TOL_MIRROR)
 
 
@@ -207,13 +200,9 @@ def check_bidirected_edge_cancellation(
     g2 = _graph_of(second)
     if g1.n != g2.n:
         raise ValueError(f"graphs must share a node count, got {g1.n} and {g2.n}")
-    for only, name in ((g1.edges - g2.edges, "first"), (g2.edges - g1.edges, "second")):
-        for i, j in only:
-            if (j, i) not in only:
-                raise ValueError(
-                    f"edge ({i}, {j}) unique to the {name} graph is not part of a "
-                    "bidirected pair"
-                )
+    differ = sorted(_one_way_edges(g1) ^ _one_way_edges(g2))
+    if differ:
+        raise ValueError(f"edge {differ[0]} is one-way in only one graph: not a bidirected pair")
     p1 = run_walk(first, HALF_PI, series, initial, grid).probabilities
     p2 = run_walk(second, HALF_PI, series, initial, grid).probabilities
     deviation = float(np.max(np.abs(p1 - p2)))

@@ -152,7 +152,7 @@ def _real_matmul(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, grid: TimeGrid, visit=None):
     # V is real (every assembled H is float64), so it is never cast to a complex N x N copy
     v = es.vectors
-    phi = _real_matmul(v.T, np.atleast_2d(psi0).T).T
+    phi = _real_matmul(v.T, np.atleast_2d(np.asarray(psi0, dtype=complex)).T).T
     return propagate(es.values, phi, grid, lambda rows: _real_matmul(v, rows.T).T, visit)
 
 

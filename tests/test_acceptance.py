@@ -144,14 +144,23 @@ def test_criterion_3_mirror_symmetries():
                 spec, EXP, deltas, initial=initial, half_pi_branch=True
             )
             worst_circ = max(worst_circ, rep.deviation)
+    # the pi/2 branch also runs on dense bipartite graphs, from node 0's side
+    worst_bip = 0.0
+    for k in range(40):
+        rng = np.random.default_rng((555002, k))
+        graph = random_bipartite_graph(rng, max_nodes=16)
+        series = random_polynomial_series(rng, max_degree=5)
+        rep = check_mirror_symmetries(graph, series, deltas, initial=0, half_pi_branch=True)
+        worst_bip = max(worst_bip, rep.deviation)
     elapsed = time.perf_counter() - t0
-    ok = worst_dense <= tol and worst_circ <= tol and elapsed < budget_s
+    ok = max(worst_dense, worst_circ, worst_bip) <= tol and elapsed < budget_s
     line = _report(
         3,
         "mirror symmetries and pi-periodicity",
         ok,
         f"random digraphs dev {worst_dense:.3e}, bipartite circulants dev "
-        f"{worst_circ:.3e}, tol {tol:g}, {elapsed:.1f}s of {budget_s:.0f}s",
+        f"{worst_circ:.3e}, random bipartite graphs dev {worst_bip:.3e}, tol {tol:g}, "
+        f"{elapsed:.1f}s of {budget_s:.0f}s",
     )
     assert ok, line
 

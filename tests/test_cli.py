@@ -324,6 +324,10 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
         {"property": "suppression-random", "count": 2.5},
         {"property": "suppression-random", "max_nodes": True},
         {"property": "suppression-random", "max_degree": "3"},
+        {"property": "suppression-random", "count": 0},
+        {"property": "suppression-random", "count": -5},
+        {"property": "suppression-random", "max_nodes": 1},
+        {"property": "suppression-random", "max_degree": -1},
         {"property": "stationary", "graph": {"family": "ring", "size": 6}, "initial_node": 0.5},
         {"property": "suppression", "graph": {"family": "ring", "size": 6.7}},
         {"property": "suppression", "graph": {"family": "ring", "size": 6}, "bogus": 1},
@@ -376,6 +380,10 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
         "fractional-count",
         "bool-max-nodes",
         "string-max-degree",
+        "zero-count",
+        "negative-count",
+        "one-max-node",
+        "negative-max-degree",
         "fractional-initial-node",
         "fractional-size",
         "unknown-key",

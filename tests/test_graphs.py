@@ -12,6 +12,7 @@ from ctqw import (
     build_star,
     moebius_spec,
     read_edge_list,
+    ring_spec,
     weakly_connected_components,
     write_edge_list,
 )
@@ -112,6 +113,44 @@ def test_bipartition_disconnected_anchors_each_component():
     assert parts.odd == (1, 3)
 
 
+def components_bipartition(g):
+    """Two-colouring found component by component, the lowest node of each even."""
+    neighbors = [set() for _ in range(g.n)]
+    for i, j in g.edges:
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    color = [-1] * g.n
+    for comp in weakly_connected_components(g):
+        color[comp[0]] = 0
+        frontier = [comp[0]]
+        while frontier:
+            v = frontier.pop()
+            for w in neighbors[v]:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    frontier.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return tuple(np.flatnonzero(np.array(color) == 0)), tuple(np.flatnonzero(np.array(color) == 1))
+
+
+def test_bipartition_matches_the_per_component_colouring():
+    # sparse draws, so many graphs have several components and many are bipartite
+    rng = np.random.default_rng(1606)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 13))
+        present = (rng.random((n, n)) < rng.uniform(0.05, 0.3)) & ~np.eye(n, dtype=bool)
+        g = DirectedGraph(n, frozenset(zip(*(idx.tolist() for idx in np.nonzero(present)))))
+        parts = bipartition(g)
+        expected = components_bipartition(g)
+        assert (parts is None) == (expected is None)
+        if parts is not None:
+            assert (parts.even, parts.odd) == expected
+        seen.add((parts is not None, len(weakly_connected_components(g)) > 1))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_odd_cycle_rejected():
     assert bipartition(build_ring(5)) is None
     assert bipartition(build_ring(6)) is not None
@@ -154,6 +193,21 @@ def test_circulant_to_graph():
         CirculantSpec((1.0, 1.0)).to_graph()
     with pytest.raises(ValueError):
         CirculantSpec((0.0, 0.5)).to_graph()
+
+
+def test_circulant_support_graph():
+    # every nonzero offset is an edge, whatever its weight; to_graph adds the 0/1 check
+    weighted = CirculantSpec((0.0, 0.5, 0.0, -2.0, 0.0, 0.0))
+    assert weighted.support_graph() == CirculantSpec((0, 1, 0, 1, 0, 0)).to_graph()
+    with pytest.raises(ValueError, match="0 or 1"):
+        weighted.to_graph()
+    for spec in (ring_spec(7), CirculantSpec((0, 1, 1, 0, 1))):
+        assert spec.support_graph() == spec.to_graph()
+    for bad in (CirculantSpec((1.0, 1.0)), CirculantSpec((2.0, 1.0))):
+        with pytest.raises(ValueError, match="c_0 = 0"):
+            bad.support_graph()
+    with pytest.raises(ValueError, match="c_0 = 0"):
+        CirculantSpec((1.0, 1.0)).to_graph()
 
 
 def test_edge_list_round_trip(tmp_path):

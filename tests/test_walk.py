@@ -173,6 +173,21 @@ def test_streamed_states_match_single_walks(spec, dense):
         assert np.max(np.abs(field - amplitudes(state, grid))) <= 1e-15
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["fourier", "dense"])
+def test_stack_without_visit_is_rejected(dense):
+    # one (T, N) field cannot hold the walks of several states
+    spec = ring_spec(6)
+    instance = spec.to_graph() if dense else spec
+    amplitudes = propagator(instance, 0.4, CouplingSeries.exp())
+    grid = TimeGrid(0.0, 2.0, 5)
+    with pytest.raises(ValueError, match="stack of 3 states needs visit"):
+        amplitudes(np.eye(6)[:3], grid)
+    # a one-row stack, real or complex, is the walk of its one state
+    walk = run_walk(instance, 0.4, CouplingSeries.exp(), 2, grid).amplitudes
+    assert np.array_equal(amplitudes(np.eye(6)[2:3], grid), walk)
+    assert np.array_equal(amplitudes(np.eye(6, dtype=complex)[2], grid), walk)
+
+
 def test_walk_result_contract():
     grid = TimeGrid(0.0, 3.0, 40)
     res = run_walk(ring_spec(8), 0.3, CouplingSeries.exp(), 0, grid)
