@@ -23,6 +23,8 @@ from .operators import (
     CouplingSeries,
     EigendecompositionError,
     NonFiniteOperatorError,
+    _real_number,
+    _whole_number,
     parse_phase,
 )
 from .properties import (
@@ -79,37 +81,26 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _config_int(value, what: str) -> int:
-    """Read an integer; integral floats pass, bools, fractions and strings do not."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _config_number(value, what: str) -> float:
-    """Read a real number; ints and finite floats pass, bools, strings, inf and nan do not."""
-    # the bound also rejects nan, and ints too large for a float
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    ):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _config_string(cfg: dict, key: str, context: str) -> None:
     """Reject a present ``key`` whose value is not a nonempty string."""
     if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
         raise ConfigError(f"{context}: '{key}' must be a nonempty string, got {cfg[key]!r}")
 
 
-def _config_build(build, context: str, *args):
-    """Call a graph or series builder; the ValueError it raises for its inputs is a config error."""
+def _config_build(build, context: str | None, *args):
+    """Call a library constructor; its ValueError is a config error, prefixed by any ``context``."""
     try:
         return build(*args)
     except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
+        raise ConfigError(f"{context}: {exc}" if context else str(exc)) from None
+
+
+def _config_int(value, what: str) -> int:
+    return _config_build(_whole_number, None, value, what)
+
+
+def _config_number(value, what: str) -> float:
+    return _config_build(_real_number, None, value, what)
 
 
 def _build_graph(cfg, context: str = "graph"):
@@ -121,17 +112,12 @@ def _build_graph(cfg, context: str = "graph"):
         raise ConfigError(f"{context}: 'directed' must be a boolean")
     builders = {"star": build_star, "ring": ring_spec, "moebius": moebius_spec}
     if family in builders:
-        size = _config_int(cfg.get("size"), f"{context}: 'size'")
-        return _config_build(builders[family], context, size, directed)
+        return _config_build(builders[family], context, cfg.get("size"), directed)
     if family == "circulant":
         coeffs = cfg.get("coefficients")
         if not isinstance(coeffs, list):
             raise ConfigError(f"{context}: circulant family needs a 'coefficients' list")
-        return _config_build(
-            CirculantSpec,
-            context,
-            tuple(_config_number(c, f"{context}: 'coefficients' entry") for c in coeffs),
-        )
+        return _config_build(CirculantSpec, context, tuple(coeffs))
     if family == "edge-list":
         if "path" not in cfg:
             raise ConfigError(f"{context}: edge-list family needs a 'path'")
@@ -164,29 +150,24 @@ def _build_series(cfg) -> CouplingSeries:
         coeffs = cfg.get("coefficients")
         if not isinstance(coeffs, list):
             raise ConfigError("coupling: polynomial kind needs a 'coefficients' list")
-        return _config_build(
-            CouplingSeries.polynomial,
-            "coupling",
-            [_config_number(c, "coupling: 'coefficients' entry") for c in coeffs],
-        )
+        return _config_build(CouplingSeries.polynomial, "coupling", coeffs)
     if "coefficients" in cfg:
         raise ConfigError(f"coupling: kind {kind!r} takes no coefficients")
-    if kind in ("exp", "sinh", "cosh", "identity"):
-        return CouplingSeries(kind)
-    raise ConfigError(f"coupling: unknown kind {kind!r}")
+    return _config_build(CouplingSeries, "coupling", kind)
 
 
 def _build_grid(cfg) -> TimeGrid:
     if cfg is None:
         return DEFAULT_TIME_GRID
     _check_keys(cfg, {"start", "end", "steps"}, "time_grid")
-    start = _config_number(cfg.get("start", DEFAULT_TIME_GRID.t_start), "time_grid: 'start'")
-    end = _config_number(cfg.get("end", DEFAULT_TIME_GRID.t_end), "time_grid: 'end'")
-    steps = _config_int(cfg.get("steps", DEFAULT_TIME_GRID.steps), "time_grid: 'steps'")
-    try:
-        return TimeGrid(start, end, steps)
-    except ValueError as exc:
-        raise ConfigError(f"time_grid: {exc}") from None
+    default = DEFAULT_TIME_GRID
+    return _config_build(
+        TimeGrid,
+        "time_grid",
+        cfg.get("start", default.t_start),
+        cfg.get("end", default.t_end),
+        cfg.get("steps", default.steps),
+    )
 
 
 def _parse_alphas(cfg) -> list[float]:
@@ -339,10 +320,7 @@ def _config_list(cfg, key: str, parse, context: str):
 
 
 def _config_phase(token, what: str) -> float:
-    try:
-        return parse_phase(token)
-    except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+    return _config_build(parse_phase, what, token)
 
 
 def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CirculantSpec
-from .operators import CouplingSeries, HermitianOperator
+from .graphs import CirculantSpec, ring_spec
+from .operators import CouplingSeries, HermitianOperator, _real_number, _whole_number
 from .spectral import circulant_column, circulant_hamiltonian_spectrum
 
 
@@ -37,10 +37,11 @@ class StarClosedForm:
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.n_peripheral < 1:
+        n_peripheral = _whole_number(self.n_peripheral, "star size")
+        if n_peripheral < 1:
             raise ValueError("star needs at least one peripheral node")
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        object.__setattr__(self, "n_peripheral", n_peripheral)
+        object.__setattr__(self, "alpha", _real_number(self.alpha, "alpha"))
 
     @property
     def omega(self) -> float:
@@ -51,6 +52,7 @@ class StarClosedForm:
 
     def probability(self, node: int, t):
         """P(node, t) for hub-started evolution; node 0 is the hub."""
+        node = _whole_number(node, "node")
         if not (0 <= node <= self.n_peripheral):
             raise ValueError(
                 f"node {node} out of range for star with {self.n_peripheral} peripherals"
@@ -69,17 +71,16 @@ def star_frequency_polynomial(
     Follows from A_H^(2n+1) = N^n A_H on the directed star, which reduces any
     series to its even/odd parts evaluated at sqrt(N).
     """
-    if n_peripheral < 1:
-        raise ValueError("star needs at least one peripheral node")
-    root = math.sqrt(n_peripheral)
-    return 4.0 * float(series.odd_scalar(root)) * math.cos(alpha)
+    form = StarClosedForm(n_peripheral, True, alpha)
+    root = math.sqrt(form.n_peripheral)
+    return 4.0 * float(series.odd_scalar(root)) * math.cos(form.alpha)
 
 
 def star_probability_field(n_peripheral: int, directed: bool, alpha: float, times) -> np.ndarray:
     """Closed-form probability field, shape (len(times), n_peripheral + 1)."""
     form = StarClosedForm(n_peripheral, directed, alpha)
     times = np.asarray(times, dtype=float)
-    field = np.empty((times.shape[0], n_peripheral + 1))
+    field = np.empty((times.shape[0], form.n_peripheral + 1))
     field[:, 0] = form.probability(0, times)
     field[:, 1:] = form.probability(1, times)[:, None]
     return field
@@ -91,8 +92,7 @@ def ring_closed_form_support(n: int, order: int) -> np.ndarray:
     Power p contributes at circulant offsets p - 2k (k = 0..p) mod n, so an
     index off every such residue is structurally zero for any coefficients.
     """
-    if n < 3:
-        raise ValueError("ring needs at least 3 nodes")
+    n, order = ring_spec(n).n, _whole_number(order, "order")  # ring_spec checks the size
     if order < 1:
         raise ValueError("order must be >= 1")
     mask = np.zeros(n, dtype=bool)
@@ -113,9 +113,8 @@ def ring_hamiltonian_closed_form(n: int, alpha: float, coefficients) -> Hermitia
     summed over p = 1..P and k = 0..p.  The constant term j_0 is excluded by
     convention; it would add 2 j_0 I.
     """
-    if n < 3:
-        raise ValueError("ring needs at least 3 nodes")
-    coefficients = [float(c) for c in coefficients]
+    n, alpha = ring_spec(n).n, _real_number(alpha, "alpha")  # ring_spec checks the size
+    coefficients = [_real_number(c, "ring coefficient") for c in coefficients]
     if not coefficients:
         raise ValueError("need at least the linear coefficient j_1")
     row = np.zeros(n)
@@ -153,6 +152,7 @@ def half_pi_spectrum_shift(
     Requires an even-length circulant whose even-indexed coefficients all
     vanish (the bipartite circulant family); other specs are rejected.
     """
+    delta, t = _real_number(delta, "delta"), _real_number(t, "t")
     n = c.n
     if n % 2 != 0:
         raise ValueError("shift identity needs an even-length circulant")
@@ -173,4 +173,4 @@ def half_pi_spectrum_shift(
     u_plus = circulant_column(np.exp(-1j * d_plus * t))
     u_minus = circulant_column(np.exp(-1j * d_minus * t))
     dev_u = float(np.max(np.abs(u_plus - signs * u_minus)))
-    return ShiftReport(float(delta), float(t), dev_spec, dev_h, dev_u)
+    return ShiftReport(delta, t, dev_spec, dev_h, dev_u)

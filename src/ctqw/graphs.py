@@ -7,37 +7,57 @@ edges); an undirected edge is represented by the pair of directed edges
 
 from __future__ import annotations
 
+import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+
+from .operators import _real_number, _whole_number
 
 Edge = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Simple directed graph given by node count and edge set."""
+    """Simple directed graph given by node count and edge set, both of whole numbers."""
 
     n: int
     edges: frozenset[Edge]
+    # (2, E) tail and head indices, scattered into ``adjacency``
+    _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        n = _whole_number(self.n, "node count")
+        if n < 1:
             raise ValueError(f"node count must be a positive integer, got {self.n!r}")
-        edges = frozenset((int(i), int(j)) for i, j in self.edges)
-        for i, j in edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            if i == j:
-                raise ValueError(f"self-loop ({i}, {i}) not allowed")
+        # any iterable of pairs, such as a list of lists or an (E, 2) array, becomes a set of tuples
+        edges = self.edges if isinstance(self.edges, frozenset) else frozenset(map(tuple, self.edges))
+        flat = list(chain.from_iterable(edges))
+        # one scan by type: an edge set of Python ints needs no call per endpoint
+        if set(map(type, flat)) - {int}:
+            edges = frozenset(
+                (_whole_number(i, "edge endpoint"), _whole_number(j, "edge endpoint"))
+                for i, j in edges
+            )
+            flat = list(chain.from_iterable(edges))
+        elif set(map(len, edges)) - {2}:
+            raise ValueError("edges must be (i, j) pairs")
+        top = min(n, sys.maxsize)  # endpoints become array indices, so none may pass intp
+        if flat and not (0 <= min(flat) and max(flat) < top):
+            raise ValueError(f"edge endpoints must lie in 0..{top - 1}, got {min(flat)}..{max(flat)}")
+        ends = np.array(flat, dtype=np.intp).reshape(-1, 2).T
+        if (ends[0] == ends[1]).any():
+            raise ValueError(f"self-loop on node {ends[0][ends[0] == ends[1]][0]} not allowed")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_ends", ends)
 
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix A with A[i, j] = 1 iff (i, j) is an edge."""
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
+        a[self._ends[0], self._ends[1]] = 1.0
         return a
 
     @property
@@ -59,14 +79,9 @@ class CirculantSpec:
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        raw = tuple(self.coefficients)
-        if any(isinstance(c, (bool, np.bool_, str)) for c in raw):
-            raise ValueError(f"circulant coefficients must be real numbers, got {raw!r}")
-        coeffs = tuple(float(c) for c in raw)
-        if len(coeffs) < 1:
+        coeffs = tuple(_real_number(c, "circulant coefficient") for c in self.coefficients)
+        if not coeffs:
             raise ValueError("circulant spec needs at least one coefficient")
-        if not all(np.isfinite(c) for c in coeffs):
-            raise ValueError("circulant coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -105,6 +120,7 @@ def build_star(n_peripheral: int, directed: bool = True) -> DirectedGraph:
 
     Directed stars point every edge outward from the hub.
     """
+    n_peripheral = _whole_number(n_peripheral, "star size")
     if n_peripheral < 1:
         raise ValueError("star needs at least one peripheral node")
     edges = {(0, i) for i in range(1, n_peripheral + 1)}
@@ -115,6 +131,7 @@ def build_star(n_peripheral: int, directed: bool = True) -> DirectedGraph:
 
 def ring_spec(n: int, directed: bool = True) -> CirculantSpec:
     """Circulant spec of the ring graph: edges i -> i+1 (plus i+1 -> i if undirected)."""
+    n = _whole_number(n, "ring size")
     if n < 3:
         raise ValueError("ring needs at least 3 nodes")
     c = [0.0] * n
@@ -135,6 +152,7 @@ def moebius_spec(n: int, outer_directed: bool = True) -> CirculantSpec:
     Rungs are emitted for every node, so each rung pair is present in both
     directions regardless of ``outer_directed``.  Bipartite iff n/2 is odd.
     """
+    n = _whole_number(n, "Moebius ladder size")
     if n < 6 or n % 2 != 0:
         raise ValueError("Moebius ladder needs an even node count >= 6")
     c = [0.0] * n

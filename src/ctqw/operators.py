@@ -62,45 +62,59 @@ def _require_finite(values) -> None:
         raise NonFiniteOperatorError("operator has non-finite entries")
 
 
+def _real_number(value, what: str) -> float:
+    """``value`` as a finite float: the one rule for every real input.
+
+    Real numbers pass, NumPy scalars included.  Bools, strings, None, other
+    non-reals, NaN, infinities and ints beyond the float range raise ValueError.
+    """
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, got {value!r} (real numbers only)")
+    return number
+
+
+def _whole_number(value, what: str) -> int:
+    """``value`` as an int: ``_real_number``'s rule and no fraction, so 2.0 and NumPy ints pass."""
+    if not _real_number(value, what).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def parse_phase(token) -> float:
     """Parse a phase value from a number or a symbolic token.
 
-    Accepts real numbers (NumPy scalars included, bools not), numeric
-    strings, and pi fractions such as ``"pi"``, ``"pi/2"``, ``"3pi/4"``,
-    ``"-pi/3"``, ``"0.5pi"``.  Anything else, or a value that is not a
-    finite float, raises ValueError.
+    Accepts real numbers under ``_real_number``'s rule, numeric strings, and
+    pi fractions such as ``"pi"``, ``"pi/2"``, ``"3pi/4"``, ``"-pi/3"``,
+    ``"0.5pi"``.  Anything else, or a value that is not a finite float,
+    raises ValueError.
     """
-    if isinstance(token, bool):
-        raise ValueError(f"not a phase: {token!r}")
-    if isinstance(token, numbers.Real):
-        try:
-            value = float(token)
-        except OverflowError:
-            raise ValueError(f"phase must fit a float, got {token!r}") from None
-    elif isinstance(token, str):
-        text = token.strip().lower()
-        m = _PI_TOKEN.match(text)
-        if m:
-            value = math.pi
-            if m.group("num"):
-                value *= float(m.group("num"))
-            if m.group("den"):
-                den = float(m.group("den"))
-                if den == 0.0:
-                    raise ValueError(f"cannot parse phase token {token!r}")
-                value /= den
-            if m.group("sign") == "-":
-                value = -value
-        else:
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValueError(f"cannot parse phase token {token!r}") from None
+    if not isinstance(token, str):
+        return _real_number(token, "phase")
+    text = token.strip().lower()
+    m = _PI_TOKEN.match(text)
+    if m:
+        value = math.pi
+        if m.group("num"):
+            value *= float(m.group("num"))
+        if m.group("den"):
+            den = float(m.group("den"))
+            if den == 0.0:
+                raise ValueError(f"cannot parse phase token {token!r}")
+            value /= den
+        if m.group("sign") == "-":
+            value = -value
     else:
-        raise ValueError(f"cannot parse phase token {token!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"phase must be finite, got {value!r}")
-    return value
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"cannot parse phase token {token!r}") from None
+    return _real_number(value, f"phase {token!r}")
 
 
 @dataclass(eq=False, frozen=True)
@@ -138,10 +152,6 @@ class HermitianOperator:
         object.__setattr__(op, "matrix", m)
         return op
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class CouplingSeries:
@@ -157,15 +167,10 @@ class CouplingSeries:
     def __post_init__(self) -> None:
         if self.kind not in _SERIES_KINDS:
             raise ValueError(f"unknown series kind {self.kind!r}; expected one of {_SERIES_KINDS}")
-        raw = tuple(self.coefficients or ())
-        if any(isinstance(c, (bool, np.bool_, str)) for c in raw):
-            raise ValueError(f"series coefficients must be real numbers, got {raw!r}")
-        coeffs = tuple(float(c) for c in raw)
+        coeffs = tuple(_real_number(c, "series coefficient") for c in self.coefficients or ())
         if self.kind == "polynomial":
             if not coeffs:
                 raise ValueError("polynomial series needs at least one coefficient")
-            if not all(math.isfinite(c) for c in coeffs):
-                raise ValueError("polynomial coefficients must be finite")
         elif coeffs:
             raise ValueError(f"{self.kind!r} series takes no coefficients")
         object.__setattr__(self, "coefficients", coeffs)

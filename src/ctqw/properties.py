@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CirculantSpec, DirectedGraph, Edge, bipartition
-from .operators import TIME_CHUNK, CouplingSeries
+from .operators import TIME_CHUNK, CouplingSeries, _real_number, _whole_number
 from .walk import DEFAULT_TIME_GRID, TimeGrid, _as_state, propagator, row_norm_defect, run_walk
 
 TOL_SUPPRESSION = 1e-10
@@ -83,7 +83,7 @@ def check_transport_suppression(
                 "graph is not bipartite; pass a partition with no one-way edge inside a side"
             )
         partition = parts.even
-    starts = tuple(sorted({int(i) for i in partition}))
+    starts = tuple(sorted({_whole_number(i, "partition node") for i in partition}))
     if not starts or any(not (0 <= i < graph.n) for i in starts):
         raise ValueError(f"partition must be a nonempty subset of 0..{graph.n - 1}")
     side = set(starts)
@@ -139,13 +139,15 @@ def check_mirror_symmetries(
     """Probability fields are even in alpha, and mirror about pi/2 on bipartite graphs.
 
     The alpha -> -alpha branch runs for every delta in ``deltas`` on any
-    input.  The pi/2 branch (P at pi/2 + delta vs pi/2 - delta, plus the
-    implied pi-periodicity) needs a bipartite graph (a circulant spec's is
-    that of its nonzero offsets) and an initial state supported on one side
-    of every weakly connected component; ``half_pi_branch`` forces it on
-    (ValueError when the preconditions fail), off, or automatic (None).
+    input, and reads 0 by construction on both engines, whose H(-alpha) is
+    bitwise H(alpha): only the pi/2 and pi pairs can fail.  The pi/2 branch
+    (P at pi/2 + delta vs pi/2 - delta, plus the implied pi-periodicity)
+    needs a bipartite graph (a circulant spec's is that of its nonzero
+    offsets) and an initial state supported on one side of every weakly
+    connected component; ``half_pi_branch`` forces it on (ValueError when
+    the preconditions fail), off, or automatic (None).
     """
-    deltas = [float(d) for d in deltas]
+    deltas = [_real_number(d, "delta") for d in deltas]
     if not deltas:
         raise ValueError("need at least one delta")
     initial = _as_state(initial, graph_or_spec.n)

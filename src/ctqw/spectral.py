@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import CirculantSpec
-from .operators import CouplingSeries, propagate
+from .operators import CouplingSeries, _require_finite, propagate
 
 
 def fourier_basis(n: int) -> np.ndarray:
@@ -89,8 +89,10 @@ def circulant_amplitudes(
     TIME_CHUNK time rows, so the cost is O(T N log N) time and
     O(N * TIME_CHUNK) scratch memory beyond the (T, N) result.  With
     ``visit``, ``psi0`` is an (S, N) stack of states streamed as in
-    ``propagate``.
+    ``propagate``.  A non-finite spectrum, as from a NaN or infinite phase,
+    raises NonFiniteOperatorError, as on the dense engine.
     """
     d = circulant_hamiltonian_spectrum(c, alpha, series)
+    _require_finite(d)
     phi = np.fft.fft(np.asarray(psi0, dtype=complex))
     return propagate(d, phi, grid, circulant_column, visit)

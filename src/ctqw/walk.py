@@ -11,8 +11,6 @@ series).
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,6 +20,8 @@ from .graphs import CirculantSpec, DirectedGraph
 from .operators import (
     CouplingSeries,
     EigenSystem,
+    _real_number,
+    _whole_number,
     hamiltonian_eigensystem,
     propagate,
 )
@@ -40,8 +40,8 @@ class NormalizationError(ArithmeticError):
 class TimeGrid:
     """Uniform time grid with ``steps`` points from t_start to t_end (eV^-1).
 
-    Endpoints are stored as float and ``steps`` as int; booleans, strings
-    and non-integral step counts are rejected.
+    Endpoints are stored as float (``_real_number``) and ``steps`` as int
+    (``_whole_number``).
     """
 
     t_start: float = 0.0
@@ -49,24 +49,16 @@ class TimeGrid:
     steps: int = 500
 
     def __post_init__(self) -> None:
-        raw = (self.t_start, self.t_end, self.steps)
-        if any(isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real) for v in raw):
-            raise ValueError(f"time grid fields must be real numbers, got {raw!r}")
-        try:
-            t_start, t_end, steps = (float(v) for v in raw)
-        except OverflowError:
-            raise ValueError(f"time grid fields must fit a float, got {raw!r}") from None
-        if not (math.isfinite(t_start) and math.isfinite(t_end)):
-            raise ValueError("time grid endpoints must be finite")
+        t_start = _real_number(self.t_start, "t_start")
+        t_end = _real_number(self.t_end, "t_end")
+        steps = _whole_number(self.steps, "steps")
         if t_end < t_start:
             raise ValueError("time grid must have t_end >= t_start")
-        if not steps.is_integer():
-            raise ValueError(f"time grid steps must be a whole number, got {self.steps!r}")
         if steps < 1:
             raise ValueError("time grid needs at least one step")
         object.__setattr__(self, "t_start", t_start)
         object.__setattr__(self, "t_end", t_end)
-        object.__setattr__(self, "steps", int(steps))
+        object.__setattr__(self, "steps", steps)
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.steps)
@@ -76,9 +68,8 @@ DEFAULT_TIME_GRID = TimeGrid()
 
 
 def localized_state(n: int, node: int) -> np.ndarray:
-    """Unit state concentrated on one node."""
-    if isinstance(node, (bool, np.bool_)):
-        raise ValueError(f"node must be an integer, got {node!r}")
+    """Unit state concentrated on one node, a whole number (``_whole_number``)."""
+    node = _whole_number(node, "node")
     if not (0 <= node < n):
         raise ValueError(f"node {node} out of range for n={n}")
     psi = np.zeros(n, dtype=complex)
@@ -157,8 +148,9 @@ def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, grid: TimeGrid, visit=N
 
 
 def _as_state(initial, n: int) -> np.ndarray:
-    if isinstance(initial, (int, np.integer)):
-        return localized_state(n, int(initial))
+    """A scalar ``initial`` is a node index, anything else a state vector."""
+    if np.ndim(initial) == 0:
+        return localized_state(n, initial)
     return validate_state(initial, n)
 
 
@@ -197,7 +189,7 @@ def run_walk(
 ) -> WalkResult:
     """Run one walk; circulant specs use the Fourier path, graphs the dense path.
 
-    ``initial`` is a node index or a normalized state vector.
+    ``initial`` is a node index (a whole number) or a normalized state vector.
     """
     amplitudes = propagator(graph_or_spec, alpha, series)
     psi0 = _as_state(initial, graph_or_spec.n)
@@ -208,6 +200,8 @@ def arrival_time(
     result: WalkResult, node: int, threshold: float = DEFAULT_ARRIVAL_THRESHOLD
 ) -> float | None:
     """First grid time with P(node, t) >= threshold, or None if never reached."""
+    node = _whole_number(node, "node")
+    threshold = _real_number(threshold, "threshold")
     if not (0 <= node < result.n):
         raise ValueError(f"node {node} out of range for n={result.n}")
     if not (0.0 < threshold <= 1.0):

@@ -375,6 +375,25 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
             "coupling": {"kind": "polynomial", "coefficients": []},
         },
         {"property": "suppression", "graph": {"family": "edge-list", "path": 5}},
+        5,
+        {"property": "suppression", "graph": {"family": "ring", "size": 6, "directed": "no"}},
+        {"property": "suppression", "graph": {"family": "circulant", "coefficients": "0101"}},
+        {"property": "suppression", "graph": {"family": "edge-list"}},
+        {
+            "property": "suppression",
+            "graph": {"family": "ring", "size": 6},
+            "coupling": {"kind": "polynomial", "coefficients": 1},
+        },
+        {
+            "property": "suppression",
+            "graph": {"family": "ring", "size": 6},
+            "coupling": {"kind": "exp", "coefficients": [1]},
+        },
+        {
+            "property": "suppression",
+            "graph": {"family": "ring", "size": 6},
+            "coupling": {"kind": "fourier"},
+        },
     ],
     ids=[
         "fractional-count",
@@ -406,6 +425,13 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
         "empty-circulant",
         "empty-polynomial",
         "integer-edge-list-path",
+        "non-object-check",
+        "string-directed",
+        "string-circulant-coefficients",
+        "edge-list-without-path",
+        "scalar-polynomial-coefficients",
+        "coefficients-on-exp",
+        "unknown-coupling-kind",
     ],
 )
 def test_verify_config_errors_exit_one(tmp_path, capsys, check):
@@ -416,6 +442,26 @@ def test_verify_config_errors_exit_one(tmp_path, capsys, check):
     captured = capsys.readouterr()
     assert "rejected" not in captured.out
     assert "error:" in captured.err
+
+
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        ("simulate", [simulate_cfg()], "top-level config must be an object"),
+        ("simulate", _without(simulate_cfg(), "alphas"), "missing 'alphas'"),
+        ("simulate", simulate_cfg(alphas=[]), "'alphas' must not be empty"),
+        ("simulate", _without(simulate_cfg(), "graph"), "missing 'graph'"),
+        ("verify", {"checks": []}, "'checks' must be a nonempty list"),
+    ],
+    ids=["non-object-config", "missing-alphas", "empty-alphas", "missing-graph", "empty-checks"],
+)
+def test_malformed_configs_exit_one(tmp_path, capsys, command, cfg, message):
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("report", [5, "", None])
