@@ -58,16 +58,12 @@ _GRAY_CELLS = np.array([b"%d " % v for v in range(256)])
 _GRAY_ROW_ENDS = np.array([b"%d\n" % v for v in range(256)])
 
 
-class ConfigError(ValueError):
-    """A malformed config; exits 1, also when raised inside a verify check."""
-
-
 def _check_keys(cfg: dict, allowed, context: str) -> None:
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{context}: expected an object")
+        raise ValueError(f"{context}: expected an object")
     unknown = sorted(set(cfg) - set(allowed))
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown}")
+        raise ValueError(f"{context}: unknown keys {unknown}")
 
 
 def _load_config(path) -> dict:
@@ -75,85 +71,73 @@ def _load_config(path) -> dict:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top-level config must be an object")
+        raise ValueError(f"{path}: top-level config must be an object")
     return cfg
 
 
 def _config_string(cfg: dict, key: str, context: str) -> None:
     """Reject a present ``key`` whose value is not a nonempty string."""
     if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
-        raise ConfigError(f"{context}: '{key}' must be a nonempty string, got {cfg[key]!r}")
+        raise ValueError(f"{context}: '{key}' must be a nonempty string, got {cfg[key]!r}")
 
 
-def _config_build(build, context: str | None, *args):
-    """Call a library constructor; its ValueError is a config error, prefixed by any ``context``."""
+def _config_build(build, context: str, *args):
+    """Call a library constructor, prefixing its ValueError with ``context``."""
     try:
         return build(*args)
     except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}" if context else str(exc)) from None
+        raise ValueError(f"{context}: {exc}") from None
 
 
-def _config_int(value, what: str) -> int:
-    return _config_build(_whole_number, None, value, what)
-
-
-def _config_number(value, what: str) -> float:
-    return _config_build(_real_number, None, value, what)
+# family -> the graph keys it reads besides "family"
+_GRAPH_KEYS = {
+    "star": {"size", "directed"},
+    "ring": {"size", "directed"},
+    "moebius": {"size", "directed"},
+    "circulant": {"coefficients"},
+    "edge-list": {"path"},
+}
+_SIZED_BUILDERS = {"star": build_star, "ring": ring_spec, "moebius": moebius_spec}
 
 
 def _build_graph(cfg, context: str = "graph"):
-    """Build a DirectedGraph or CirculantSpec from a config object."""
-    _check_keys(cfg, {"family", "size", "directed", "coefficients", "path"}, context)
-    family = cfg.get("family")
-    directed = cfg.get("directed", True)
-    if not isinstance(directed, bool):
-        raise ConfigError(f"{context}: 'directed' must be a boolean")
-    builders = {"star": build_star, "ring": ring_spec, "moebius": moebius_spec}
-    if family in builders:
-        return _config_build(builders[family], context, cfg.get("size"), directed)
+    """Build a DirectedGraph or CirculantSpec from a config object, with its report label.
+
+    The label is spelled from the built instance, so ``6`` and ``6.0`` name one graph.
+    """
+    if not isinstance(cfg, dict) or cfg.get("family") not in _GRAPH_KEYS:
+        raise ValueError(f"{context}: expected an object with 'family' one of {sorted(_GRAPH_KEYS)}")
+    family = cfg["family"]
+    _check_keys(cfg, {"family", *_GRAPH_KEYS[family]}, context)
     if family == "circulant":
         coeffs = cfg.get("coefficients")
         if not isinstance(coeffs, list):
-            raise ConfigError(f"{context}: circulant family needs a 'coefficients' list")
-        return _config_build(CirculantSpec, context, tuple(coeffs))
+            raise ValueError(f"{context}: circulant family needs a 'coefficients' list")
+        spec = _config_build(CirculantSpec, context, coeffs)
+        return spec, f"circulant-n{spec.n}"
     if family == "edge-list":
         if "path" not in cfg:
-            raise ConfigError(f"{context}: edge-list family needs a 'path'")
+            raise ValueError(f"{context}: edge-list family needs a 'path'")
         _config_string(cfg, "path", context)
-        return _config_build(read_edge_list, context, cfg["path"])
-    raise ConfigError(
-        f"{context}: unknown family {family!r}; expected star, ring, moebius, "
-        "circulant, or edge-list"
-    )
-
-
-def _graph_label(cfg) -> str:
-    family = cfg.get("family", "?")
-    bits = [str(family)]
-    if "size" in cfg:
-        bits.append(f"n{cfg['size']}")
-    if "coefficients" in cfg:
-        bits.append(f"n{len(cfg['coefficients'])}")
-    if not cfg.get("directed", True):
-        bits.append("undirected")
-    return "-".join(bits)
+        return _config_build(read_edge_list, context, cfg["path"]), "edge-list"
+    directed = cfg.get("directed", True)
+    if not isinstance(directed, bool):
+        raise ValueError(f"{context}: 'directed' must be a boolean")
+    graph = _config_build(_SIZED_BUILDERS[family], context, cfg.get("size"), directed)
+    size = graph.n - 1 if family == "star" else graph.n  # a star's size counts its leaves
+    return graph, f"{family}-n{size}" + ("" if directed else "-undirected")
 
 
 def _build_series(cfg) -> CouplingSeries:
     if cfg is None:
         return CouplingSeries.exp()
     _check_keys(cfg, {"kind", "coefficients"}, "coupling")
-    kind = cfg.get("kind")
-    if kind == "polynomial":
-        coeffs = cfg.get("coefficients")
-        if not isinstance(coeffs, list):
-            raise ConfigError("coupling: polynomial kind needs a 'coefficients' list")
-        return _config_build(CouplingSeries.polynomial, "coupling", coeffs)
-    if "coefficients" in cfg:
-        raise ConfigError(f"coupling: kind {kind!r} takes no coefficients")
-    return _config_build(CouplingSeries, "coupling", kind)
+    coeffs = cfg.get("coefficients", [])
+    if not isinstance(coeffs, list):
+        raise ValueError(f"coupling: 'coefficients' must be a list, got {coeffs!r}")
+    return _config_build(CouplingSeries, "coupling", cfg.get("kind"), coeffs)
 
 
 def _build_grid(cfg) -> TimeGrid:
@@ -172,11 +156,11 @@ def _build_grid(cfg) -> TimeGrid:
 
 def _parse_alphas(cfg) -> list[float]:
     if "alphas" not in cfg:
-        raise ConfigError("config: missing 'alphas'")
+        raise ValueError("config: missing 'alphas'")
     raw = cfg["alphas"]
     tokens = raw if isinstance(raw, list) else [raw]
     if not tokens:
-        raise ConfigError("config: 'alphas' must not be empty")
+        raise ValueError("config: 'alphas' must not be empty")
     return [parse_phase(tok) for tok in tokens]
 
 
@@ -246,24 +230,24 @@ def cmd_walk(args) -> int:
         cfg, {"graph", "coupling", "alphas", "time_grid", "initial_node", "output"}, "config"
     )
     if "graph" not in cfg:
-        raise ConfigError("config: missing 'graph'")
+        raise ValueError("config: missing 'graph'")
     alphas = _parse_alphas(cfg)
     sweep = args.command == "sweep"
     if not sweep and len(alphas) != 1:
-        raise ConfigError(f"simulate needs exactly one alpha, got {len(alphas)}")
-    graph = _build_graph(cfg["graph"])
+        raise ValueError(f"simulate needs exactly one alpha, got {len(alphas)}")
+    graph, _ = _build_graph(cfg["graph"])
     series = _build_series(cfg.get("coupling"))
     grid = _build_grid(cfg.get("time_grid"))
-    initial = _config_int(cfg.get("initial_node", 0), "config: 'initial_node'")
+    initial = _whole_number(cfg.get("initial_node", 0), "config: 'initial_node'")
     output = cfg.get("output", {})
     _check_keys(output, {"csv", "heatmap", "scale", "amplitudes"}, "output")
     _config_string(output, "csv", "output")
     _config_string(output, "heatmap", "output")
     include_amps, scale = output.get("amplitudes", False), output.get("scale", "linear")
     if not isinstance(include_amps, bool):
-        raise ConfigError(f"output: 'amplitudes' must be a boolean, got {include_amps!r}")
+        raise ValueError(f"output: 'amplitudes' must be a boolean, got {include_amps!r}")
     if scale not in ("linear", "log"):
-        raise ConfigError(f"output: 'scale' must be 'linear' or 'log', got {scale!r}")
+        raise ValueError(f"output: 'scale' must be 'linear' or 'log', got {scale!r}")
     results = [run_walk(graph, alpha, series, initial, grid) for alpha in alphas]
     for index, result in enumerate(results):
         csv_name, pgm_name = output.get("csv", "walk.csv"), output.get("heatmap")
@@ -315,7 +299,7 @@ def _config_list(cfg, key: str, parse, context: str):
     if key not in cfg:
         return None
     if not isinstance(cfg[key], list):
-        raise ConfigError(f"{context}: '{key}' must be a list, got {cfg[key]!r}")
+        raise ValueError(f"{context}: '{key}' must be a list, got {cfg[key]!r}")
     return [parse(entry, f"{context}: '{key}' entry") for entry in cfg[key]]
 
 
@@ -323,64 +307,68 @@ def _config_phase(token, what: str) -> float:
     return _config_build(parse_phase, what, token)
 
 
-def _run_check(check_cfg, grid, seed) -> list[PropertyReport]:
-    """Parse a check against its ``_CHECKS`` row, then run its walks.
+def _parse_check(check_cfg, grid, seed):
+    """Parse a check against its ``_CHECKS`` row: its property and a function running its walks.
 
-    Malformed fields raise ConfigError before any walk runs; a loosened
-    tolerance, an ineligible instance or a failed random draw raise a plain
-    ValueError, which ``verify`` reports as a rejected line.
+    A malformed field raises ValueError here, before ``verify`` runs any
+    check; a ValueError from the returned function (a loosened tolerance, an
+    ineligible instance or a failed random draw) is a rejected line.
     """
     if not isinstance(check_cfg, dict) or check_cfg.get("property") not in _CHECKS:
-        raise ConfigError(f"check: expected an object with 'property' one of {sorted(_CHECKS)}")
+        raise ValueError(f"check: expected an object with 'property' one of {sorted(_CHECKS)}")
     prop = check_cfg["property"]
     default, reads, required = _CHECKS[prop]
     context = f"{prop} check"
     _check_keys(check_cfg, {"property", "tolerance", "time_grid", *reads}, context)
     missing = sorted(required - check_cfg.keys())
     if missing:
-        raise ConfigError(f"{context}: missing {missing}")
-    tol = _config_number(check_cfg.get("tolerance", default), f"{context}: 'tolerance'")
+        raise ValueError(f"{context}: missing {missing}")
+    tol = _real_number(check_cfg.get("tolerance", default), f"{context}: 'tolerance'")
     series = _build_series(check_cfg.get("coupling"))
     if "time_grid" in check_cfg:
         grid = _build_grid(check_cfg["time_grid"])
     initial, count, max_nodes, max_degree = (
-        _config_int(check_cfg.get(key, fallback), f"{context}: '{key}'")
+        _whole_number(check_cfg.get(key, fallback), f"{context}: '{key}'")
         for key, fallback in _CHECK_INT_DEFAULTS.items()
     )
     if count < 1 or max_nodes < 2 or max_degree < 0:
-        raise ConfigError(f"{context}: needs 'count' >= 1, 'max_nodes' >= 2 and 'max_degree' >= 0")
+        raise ValueError(f"{context}: needs 'count' >= 1, 'max_nodes' >= 2 and 'max_degree' >= 0")
     deltas = _config_list(check_cfg, "deltas", _config_phase, context)
-    partition = _config_list(check_cfg, "partition", _config_int, context)
+    partition = _config_list(check_cfg, "partition", _whole_number, context)
     half_pi = check_cfg.get("half_pi")
     if "half_pi" in check_cfg and not isinstance(half_pi, bool):
-        raise ConfigError(f"{context}: 'half_pi' must be a boolean, got {half_pi!r}")
-    keys = [key for key in ("graph", "graph_b") if key in check_cfg]
-    graphs = [_build_graph(check_cfg[key], key) for key in keys]
-    labels = ["|".join(_graph_label(check_cfg[key]) for key in keys)]
-    if not (0.0 <= tol <= default):
-        raise ValueError(f"tolerance may only tighten the default {default:g}, got {tol:g}")
-    if prop == "mirror":
-        reports = [check_mirror_symmetries(*graphs, series, deltas, initial, grid, half_pi)]
-    elif prop == "stationary":
-        reports = [check_stationary_at_half_pi(*graphs, series, initial, grid)]
-    elif prop == "cancellation":
-        reports = [check_bidirected_edge_cancellation(*graphs, series, initial, grid)]
-    elif prop == "suppression" and graphs:
-        reports = [check_transport_suppression(*graphs, series, grid, partition)]
-    elif prop == "suppression":
-        labels = [_graph_label(cfg) for cfg in _DEFAULT_SUPPRESSION_GRAPHS]
-        graphs = [_build_graph(cfg) for cfg in _DEFAULT_SUPPRESSION_GRAPHS]
-        reports = [check_transport_suppression(g, series, grid, partition) for g in graphs]
-    else:
-        base = seed if seed is not None else 0
-        labels, reports = [], []
-        for k in range(count):
-            rng = np.random.default_rng((base, k))
-            graph = random_bipartite_graph(rng, max_nodes)
-            poly = random_polynomial_series(rng, max_degree)
-            labels.append(f"random-bipartite-n{graph.n}-seed{base}.{k}")
-            reports.append(check_transport_suppression(graph, poly, grid))
-    return [PropertyReport(r.name, name, r.deviation, tol) for name, r in zip(labels, reports)]
+        raise ValueError(f"{context}: 'half_pi' must be a boolean, got {half_pi!r}")
+    built = [_build_graph(check_cfg[key], key) for key in ("graph", "graph_b") if key in check_cfg]
+    if prop == "suppression" and not built:
+        built = [_build_graph(cfg) for cfg in _DEFAULT_SUPPRESSION_GRAPHS]
+    graphs, labels = [graph for graph, _ in built], [label for _, label in built]
+    if prop != "suppression":  # one instance of one or two graphs
+        labels = ["|".join(labels)]
+
+    def run() -> list[PropertyReport]:
+        if not (0.0 <= tol <= default):
+            raise ValueError(f"tolerance may only tighten the default {default:g}, got {tol:g}")
+        names = labels
+        if prop == "mirror":
+            reports = [check_mirror_symmetries(*graphs, series, deltas, initial, grid, half_pi)]
+        elif prop == "stationary":
+            reports = [check_stationary_at_half_pi(*graphs, series, initial, grid)]
+        elif prop == "cancellation":
+            reports = [check_bidirected_edge_cancellation(*graphs, series, initial, grid)]
+        elif prop == "suppression":
+            reports = [check_transport_suppression(g, series, grid, partition) for g in graphs]
+        else:
+            base = seed if seed is not None else 0
+            names, reports = [], []
+            for k in range(count):
+                rng = np.random.default_rng((base, k))
+                graph = random_bipartite_graph(rng, max_nodes)
+                poly = random_polynomial_series(rng, max_degree)
+                names.append(f"random-bipartite-n{graph.n}-seed{base}.{k}")
+                reports.append(check_transport_suppression(graph, poly, grid))
+        return [PropertyReport(r.name, name, r.deviation, tol) for name, r in zip(names, reports)]
+
+    return prop, run
 
 
 def cmd_verify(args) -> int:
@@ -389,19 +377,18 @@ def cmd_verify(args) -> int:
     _config_string(cfg, "report", "config")
     checks = cfg.get("checks")
     if not isinstance(checks, list) or not checks:
-        raise ConfigError("config: 'checks' must be a nonempty list")
+        raise ValueError("config: 'checks' must be a nonempty list")
     grid = _build_grid(cfg.get("time_grid"))
+    # every check is parsed before any runs, so a malformed one exits 1 without a report
+    parsed = [_parse_check(check_cfg, grid, args.seed) for check_cfg in checks]
     lines = ["property,instance,deviation,tolerance,verdict"]
     all_ok = True
-    for check_cfg in checks:
+    for prop, run in parsed:
         try:
-            for report in _run_check(check_cfg, grid, args.seed):
+            for report in run():
                 lines.append(report.line())
                 all_ok = all_ok and report.passed
-        except ConfigError:
-            raise
         except ValueError as exc:
-            prop = check_cfg["property"]  # a check gets this far only with a known property
             reason = str(exc).replace(",", ";")
             lines.append(f"{prop},rejected: {reason},nan,{_CHECKS[prop][0]:g},rejected")
             all_ok = False

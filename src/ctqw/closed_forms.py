@@ -26,10 +26,11 @@ class StarClosedForm:
         omega = 4 sinh(sqrt(N)) cos(alpha)       (directed)
         omega = 4 sinh(2 sqrt(N) cos(alpha))     (undirected)
 
-    for N peripheral nodes.  On the undirected star A = A^T = S, so
-    A_H = 2 cos(alpha) S; the only nonzero eigenvalues of S are +/- sqrt(N),
-    and H = 2 exp(A_H) splits the hub's two-level subspace by
-    2 exp(x) - 2 exp(-x) = 4 sinh(x) with x = 2 sqrt(N) cos(alpha).
+    for N peripheral nodes.  On the undirected star A = A^T, so
+    A_H = 2 cos(alpha) A = cos(alpha) S with S = A + A^T; the only nonzero
+    eigenvalues of A are +/- sqrt(N), and H = 2 exp(A_H) splits the hub's
+    two-level subspace by 2 exp(x) - 2 exp(-x) = 4 sinh(x) with
+    x = 2 sqrt(N) cos(alpha).
     """
 
     n_peripheral: int

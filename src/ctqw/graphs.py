@@ -34,20 +34,20 @@ class DirectedGraph:
             raise ValueError(f"node count must be a positive integer, got {self.n!r}")
         # any iterable of pairs, such as a list of lists or an (E, 2) array, becomes a set of tuples
         edges = self.edges if isinstance(self.edges, frozenset) else frozenset(map(tuple, self.edges))
-        flat = list(chain.from_iterable(edges))
-        # one scan by type: an edge set of Python ints needs no call per endpoint
-        if set(map(type, flat)) - {int}:
-            edges = frozenset(
-                (_whole_number(i, "edge endpoint"), _whole_number(j, "edge endpoint"))
-                for i, j in edges
-            )
-            flat = list(chain.from_iterable(edges))
-        elif set(map(len, edges)) - {2}:
+        if set(map(len, edges)) - {2}:
             raise ValueError("edges must be (i, j) pairs")
+        flat = list(chain.from_iterable(edges))
+        # one scan by type: an edge set of Python or NumPy ints needs no call per endpoint
+        types = set(map(type, flat))
+        if not all(t is int or issubclass(t, np.integer) for t in types):
+            flat = [_whole_number(v, "edge endpoint") for v in flat]
         top = min(n, sys.maxsize)  # endpoints become array indices, so none may pass intp
         if flat and not (0 <= min(flat) and max(flat) < top):
             raise ValueError(f"edge endpoints must lie in 0..{top - 1}, got {min(flat)}..{max(flat)}")
-        ends = np.array(flat, dtype=np.intp).reshape(-1, 2).T
+        pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
+        if types - {int}:  # every endpoint is stored back as a Python int
+            edges = frozenset(map(tuple, pairs.tolist()))
+        ends = pairs.T
         if (ends[0] == ends[1]).any():
             raise ValueError(f"self-loop on node {ends[0][ends[0] == ends[1]][0]} not allowed")
         object.__setattr__(self, "n", n)

@@ -90,13 +90,22 @@ def test_simulate_rejects_multiple_alphas(tmp_path):
     assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 1
 
 
-def test_unknown_keys_rejected(tmp_path):
+def test_unknown_keys_rejected(tmp_path, capsys):
+    graph_path = tmp_path / "ladder.txt"
+    write_edge_list(build_moebius_ladder(6), graph_path)
     for cfg in (
         simulate_cfg(extra=1),
         simulate_cfg(graph={"family": "ring", "size": 6, "flavor": "x"}),
         simulate_cfg(output={"csv": "a.csv", "format": "hdf5"}),
+        # each graph family reads only its own keys
+        simulate_cfg(graph={"family": "star", "size": 4, "coefficients": [0, 1]}),
+        simulate_cfg(graph={"family": "ring", "size": 6, "path": str(graph_path)}),
+        simulate_cfg(graph={"family": "moebius", "size": 6, "coefficients": [0, 1, 0, 1, 0, 1]}),
+        simulate_cfg(graph={"family": "circulant", "coefficients": [0, 1, 0, 1], "size": 7}),
+        simulate_cfg(graph={"family": "edge-list", "path": str(graph_path), "directed": False}),
     ):
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "unknown keys" in capsys.readouterr().err
 
 
 def test_bad_inputs_exit_one(tmp_path):
@@ -467,7 +476,7 @@ def test_malformed_configs_exit_one(tmp_path, capsys, command, cfg, message):
 @pytest.mark.parametrize("report", [5, "", None])
 def test_verify_bad_report_name_exits_one_before_checks(tmp_path, capsys, monkeypatch, report):
     checks = []
-    monkeypatch.setattr("ctqw.cli._run_check", lambda *args: checks.append(args))
+    monkeypatch.setattr("ctqw.cli._parse_check", lambda *args: checks.append(args))
     cfg = {"checks": [{"property": "suppression"}], "report": report}
     out_dir = tmp_path / "out"
     assert main(["verify", "--config", write_config(tmp_path, cfg), "--out-dir", str(out_dir)]) == 1
@@ -531,10 +540,37 @@ def test_verify_tolerance_may_only_tighten(tmp_path, capsys):
     assert "tighten" in capsys.readouterr().out
 
 
+def _star_check(**fields):
+    return dict({"property": "suppression", "graph": {"family": "star", "size": 5}}, **fields)
+
+
 @pytest.mark.parametrize(
-    "tolerance, code", [("1e-12", 1), (1.0, 2), (-1e-12, 2), (1e-20, 0)]
+    "checks, code",
+    [
+        ([_star_check(tolerance="1e-12")], 1),
+        ([_star_check(tolerance=1.0)], 2),
+        ([_star_check(tolerance=-1e-12)], 2),
+        ([_star_check(tolerance=1e-20)], 0),
+        # every check is parsed before any runs: a malformed second check stops the
+        # first, also one that alone exits 3 (J(x) = 1e308 x overflows on the 6-ring)
+        ([_star_check(), {"property": "suppression", "bogus": 1}], 1),
+        (
+            [
+                {
+                    "property": "mirror",
+                    "graph": {"family": "ring", "size": 6, "directed": False},
+                    "deltas": [0.1],
+                    "coupling": {"kind": "polynomial", "coefficients": [0, 1e308]},
+                },
+                {"property": "nope"},
+            ],
+            1,
+        ),
+    ],
+    ids=["1e-12-1", "1.0-2", "-1e-12-2", "1e-20-0", "valid-then-malformed",
+         "numeric-failure-then-malformed"],
 )
-def test_verify_tolerance_checked_before_walks(tmp_path, capsys, monkeypatch, tolerance, code):
+def test_verify_tolerance_checked_before_walks(tmp_path, capsys, monkeypatch, checks, code):
     calls = []
     eigh = np.linalg.eigh
 
@@ -543,18 +579,37 @@ def test_verify_tolerance_checked_before_walks(tmp_path, capsys, monkeypatch, to
         return eigh(m)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    check = {
-        "property": "suppression",
-        "graph": {"family": "star", "size": 5},
-        "tolerance": tolerance,
-    }
-    assert main(["verify", "--config", write_config(tmp_path, {"checks": [check]})]) == code
+    assert main(["verify", "--config", write_config(tmp_path, {"checks": checks})]) == code
     out = capsys.readouterr().out
     if code == 0:
         assert calls and out.count(",pass") == 1
     else:
         assert calls == []
         assert (",rejected" in out) == (code == 2)
+        assert (out == "") == (code == 1)
+
+
+def test_verify_labels_spell_the_built_instance(tmp_path, capsys):
+    graph_path = tmp_path / "ladder.txt"
+    write_edge_list(build_moebius_ladder(6), graph_path)
+    cfg = {
+        "checks": [
+            {"property": "stationary", "graph": {"family": "ring", "size": 6.0, "directed": False}},
+            {"property": "stationary", "graph": {"family": "ring", "size": 6, "directed": False}},
+            {"property": "suppression"},
+            {"property": "suppression", "graph": {"family": "edge-list", "path": str(graph_path)}},
+        ]
+    }
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = [line.split(",")[:2] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [
+        ["stationary", "ring-n6-undirected"],
+        ["stationary", "ring-n6-undirected"],
+        ["suppression", "star-n5"],
+        ["suppression", "ring-n6"],
+        ["suppression", "moebius-n10"],
+        ["suppression", "edge-list"],
+    ]
 
 
 def test_verify_random_suppression_exhausted_draw_is_rejected(tmp_path, capsys):

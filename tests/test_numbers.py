@@ -38,6 +38,12 @@ EXP = CouplingSeries.exp()
 GRID = TimeGrid(0.0, 1.0, 3)
 RESULT = run_walk(build_star(3), 0.1, EXP, 0, GRID)
 
+
+def _cli_check(**check):
+    """A verify check through the CLI's parse step: its property and the function that runs it."""
+    return ctqw.cli._parse_check(check, GRID, None)
+
+
 # Not real numbers, or not finite floats: every entry point rejects them.
 NOT_REAL = (True, np.True_, "1", None, math.nan, math.inf, -math.inf, 10**400)
 # A phase may be a string token, so it is tried with one that overflows instead.
@@ -57,7 +63,7 @@ REAL_ENTRIES = {
         lambda v: ring_hamiltonian_closed_form(6, 0.1, [1.0, v])
     ),
     "half_pi_spectrum_shift-delta": lambda v: half_pi_spectrum_shift(ring_spec(6), EXP, v),
-    "cli-number": lambda v: ctqw.cli._config_number(v, "field"),
+    "cli-number": lambda v: _cli_check(property="suppression-random", tolerance=v),
 }
 
 # entry point -> (call, a valid whole number for it)
@@ -85,7 +91,10 @@ WHOLE_ENTRIES = {
         lambda v: ring_hamiltonian_closed_form(v, 0.1, [1.0]).matrix,
         6,
     ),
-    "cli-int": (lambda v: ctqw.cli._config_int(v, "field"), 3),
+    "cli-int": (
+        lambda v: _cli_check(property="suppression-random", count=v, max_nodes=4, max_degree=1)[1](),
+        3,
+    ),
 }
 
 NUMBER_RULE_CASES = [
@@ -137,6 +146,17 @@ def test_directed_graph_stores_python_ints():
         for i, j in graph.edges:
             reference[i, j] = 1.0
         assert np.array_equal(graph.adjacency(), reference)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_directed_graph_numpy_int_edges_equal_python_int_edges(dtype):
+    reference = random_directed_graph(np.random.default_rng(15), 30)
+    heads = np.array(sorted(reference.edges), dtype=dtype)
+    for edges in (heads, frozenset(map(tuple, heads))):
+        g = DirectedGraph(reference.n, edges)
+        assert g == reference
+        assert {type(v) for edge in g.edges for v in edge} == {int}
+        assert np.array_equal(g.adjacency(), reference.adjacency())
 
 
 @pytest.mark.parametrize(
