@@ -33,6 +33,9 @@ HERMITICITY_TOL = 1e-12
 # ``propagate``, and formatted per write by the PGM heatmap writer.
 TIME_CHUNK = 64
 
+# Complex cells (1 MiB) of one block of stacked states in ``propagate``.
+_SCRATCH_CELLS = 2**16
+
 _SERIES_KINDS = ("polynomial", "exp", "sinh", "cosh", "identity")
 
 _PI_TOKEN = re.compile(
@@ -230,21 +233,33 @@ class EigenSystem:
     vectors: np.ndarray
 
 
-def propagate(values, phi, grid, to_nodes, visit=None):
+def propagate(values, phi, grid, to_nodes, visit=None, node_major=False):
     """Amplitudes of exp(-iHt) psi0 on a uniform ``TimeGrid``, shape (T, N).
 
     ``values`` are the eigenvalues w of H, ``phi`` is psi0 in its eigenbasis,
-    and ``to_nodes`` maps a block of eigenbasis rows back to node rows.  The
-    grid is walked in chunks of TIME_CHUNK rows.  One (TIME_CHUNK, N) offset
-    table exp(-i w j dt) is built per call, and the phase block of the chunk
-    starting at grid time t_c is that table times the head exp(-i w t_c).
-    Scratch beyond the (T, N) result is O(N * TIME_CHUNK).
+    and ``to_nodes(block, out)`` maps a (B, rows, N) block of eigenbasis
+    coefficients to node amplitudes, written into ``out`` of the same shape
+    and layout.  The grid is walked in chunks of TIME_CHUNK rows.  One
+    (TIME_CHUNK, N) offset table exp(-i w j dt) is built per call, and the
+    phase block of the chunk starting at grid time t_c is that table times
+    the head exp(-i w t_c).  Scratch beyond the (T, N) result is
+    O(N * TIME_CHUNK).
 
     With ``visit``, ``phi`` is an (S, N) stack of states that share each
-    phase block: chunk ``rows`` of state s is passed as
-    ``visit(s, rows, amplitudes)`` and nothing is kept or returned, so the
-    scratch stays O(N * TIME_CHUNK) whatever S.  Without ``visit``, a stack
-    of more than one state raises ValueError.
+    phase block.  They go B = max(1, 2^16 // (R N)) at a time, R being
+    TIME_CHUNK or the number of grid points if fewer: each (chunk, batch)
+    takes one call of ``to_nodes`` and one of ``visit(first, rows, block)``,
+    where ``block`` is (B, rows, N) and holds states first .. first + B - 1
+    (the last batch may hold fewer).  The block is scratch, refilled by the
+    next batch, and nothing is kept or returned: two blocks of at most 2^16
+    complex cells (1 MiB) each, or one state's chunk when that is larger,
+    are all the scratch whatever S and N.  Without ``visit``, a stack of
+    more than one state raises ValueError.
+
+    Blocks are time-major in memory, each (state, time) row of N entries
+    together, the layout a last-axis FFT takes.  With ``node_major`` they
+    are (N, B, rows) arrays in memory seen as (B, rows, N), the layout a
+    matrix product V X takes with no copy.
     """
     times = grid.times()
     phi = np.atleast_2d(phi)
@@ -255,17 +270,43 @@ def propagate(values, phi, grid, to_nodes, visit=None):
         amps = np.empty((times.size, phi.shape[1]), dtype=complex)
 
         def visit(_, rows, block):
-            amps[rows] = block
+            amps[rows] = block[0]
 
     # np.linspace's own step, so t_c + j dt lies within ~ulp(t) of the grid point it stands for
     dt = (grid.t_end - grid.t_start) / max(times.size - 1, 1)
-    offsets = np.exp(-1j * np.outer(np.arange(min(TIME_CHUNK, times.size)) * dt, values))
+    steps = np.arange(min(TIME_CHUNK, times.size)) * dt
+    # the table, the states and (through empty_like) every phase block are stored in
+    # the blocks' layout
+    if node_major:
+        offsets, states = np.exp(-1j * np.outer(values, steps)).T, np.asfortranarray(phi)
+    else:
+        offsets, states = np.exp(-1j * np.outer(steps, values)), np.ascontiguousarray(phi)
+    batch = min(len(states), max(1, _SCRATCH_CELLS // max(offsets.size, 1)))
+    # a phase table and two blocks of scratch, refilled per chunk and per (chunk, batch):
+    # allocating and freeing a fresh MiB block per batch can cost a page fault per 4 KiB
+    phases = np.empty_like(offsets)
+    eigen_cells, node_cells = np.empty((2, batch * offsets.size), dtype=complex)
     for start in range(0, times.size, TIME_CHUNK):
         rows = slice(start, min(start + TIME_CHUNK, times.size))
-        phase = offsets[: rows.stop - start] * np.exp(-1j * times[start] * values)
-        for s, state in enumerate(phi):
-            visit(s, rows, to_nodes(phase * state))
+        phase = phases[: rows.stop - start]
+        np.multiply(offsets[: len(phase)], np.exp(-1j * times[start] * values), out=phase)
+        for first in range(0, len(states), batch):
+            group = states[first : first + batch]
+            shape = (len(group), len(phase), values.size)
+            block = _block(eigen_cells, shape, node_major)
+            np.multiply(phase, group[:, None, :], out=block)
+            mapped = _block(node_cells, shape, node_major)
+            to_nodes(block, mapped)
+            visit(first, rows, mapped)
     return amps
+
+
+def _block(cells: np.ndarray, shape, node_major: bool) -> np.ndarray:
+    """The front of flat ``cells`` as a (B, rows, N) block, stored (N, B, rows) if node-major."""
+    b, rows, n = shape
+    if node_major:
+        return cells[: b * rows * n].reshape(n, b, rows).transpose(1, 2, 0)
+    return cells[: b * rows * n].reshape(shape)
 
 
 def hermitian_eigendecomposition(op: HermitianOperator) -> EigenSystem:

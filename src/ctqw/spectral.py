@@ -25,6 +25,9 @@ import numpy as np
 from .graphs import CirculantSpec
 from .operators import CouplingSeries, _require_finite, propagate
 
+# numpy.fft writes into an ``out`` array from NumPy 2.0 on
+_IFFT_TAKES_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
 
 def fourier_basis(n: int) -> np.ndarray:
     """Symmetric unitary DFT matrix S[m, k] = exp(2*pi*i*m*k/n)/sqrt(n)."""
@@ -51,13 +54,21 @@ def circulant_hamiltonian_spectrum(
     return series.scalar(_spectrum(f, alpha)) + series.scalar(_spectrum(f, -alpha))
 
 
-def circulant_column(spectrum: np.ndarray) -> np.ndarray:
+def circulant_column(spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """First column of the circulant with eigenvalues ``spectrum`` (Fourier mode order).
 
     A circulant X = S diag(spectrum) S^H has X[i, j] = x[(i - j) % N] with
-    x = ifft(spectrum).  A 2-D ``spectrum`` is transformed row by row.
+    x = ifft(spectrum).  A stack of spectra is transformed along its last
+    axis.  With ``out``, an array of the same shape, the columns are written
+    there and ``out`` is returned.
     """
-    return np.fft.ifft(spectrum, axis=-1)
+    if out is None:
+        return np.fft.ifft(spectrum, axis=-1)
+    if _IFFT_TAKES_OUT:
+        return np.fft.ifft(spectrum, axis=-1, out=out)
+    # NumPy 1.x: the same transform, copied in
+    out[...] = np.fft.ifft(spectrum, axis=-1)
+    return out
 
 
 def circulant_evolution(
@@ -85,12 +96,14 @@ def circulant_amplitudes(
 
     One FFT of psi0 serves every grid point: U(t) psi0 is the first column of
     the circulant with spectrum exp(-i D t) fft(psi0).  ``propagate`` builds
-    one phase table per call and takes one batched inverse FFT per chunk of
-    TIME_CHUNK time rows, so the cost is O(T N log N) time and
-    O(N * TIME_CHUNK) scratch memory beyond the (T, N) result.  With
-    ``visit``, ``psi0`` is an (S, N) stack of states streamed as in
-    ``propagate``.  A non-finite spectrum, as from a NaN or infinite phase,
-    raises NonFiniteOperatorError, as on the dense engine.
+    one phase table per call and hands over time-major blocks, each mapped
+    back by one inverse FFT along its last axis, so the cost is
+    O(T N log N) time and O(N * TIME_CHUNK) scratch memory beyond the (T, N)
+    result.  With ``visit``, ``psi0`` is an (S, N) stack of states streamed
+    as in ``propagate``: one FFT per (chunk, batch) of states, each block
+    held to the fixed scratch cap (or one state's chunk, when N is larger).
+    A non-finite spectrum, as from a NaN or infinite phase, raises
+    NonFiniteOperatorError, as on the dense engine.
     """
     d = circulant_hamiltonian_spectrum(c, alpha, series)
     _require_finite(d)

@@ -144,7 +144,16 @@ def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, grid: TimeGrid, visit=N
     # V is real (every assembled H is float64), so it is never cast to a complex N x N copy
     v = es.vectors
     phi = _real_matmul(v.T, np.atleast_2d(np.asarray(psi0, dtype=complex)).T).T
-    return propagate(es.values, phi, grid, lambda rows: _real_matmul(v, rows.T).T, visit)
+
+    def columns(block):
+        # a node-major (B, rows, N) block is an (N, B, rows) array in memory, so this is a
+        # view: its (re, im) pairs as real columns, all mapped by one real gemm
+        return block.transpose(2, 0, 1).reshape(len(v), -1).view(float)
+
+    def to_nodes(block, out):
+        np.matmul(v, columns(block), out=columns(out))
+
+    return propagate(es.values, phi, grid, to_nodes, visit, node_major=True)
 
 
 def _as_state(initial, n: int) -> np.ndarray:
@@ -167,8 +176,9 @@ def propagator(graph_or_spec, alpha: float, series: CouplingSeries):
     later call; a circulant spec's Fourier spectrum costs one length-N FFT
     per call.  ``psi0`` must be a normalized state of the right size and
     ``grid`` a ``TimeGrid``.  A third argument ``visit`` streams an (S, N)
-    stack of states instead, every state sharing each chunk's phase block
-    (see ``propagate``).
+    stack of states instead, every state sharing each chunk's phase block:
+    ``visit(first, rows, block)`` gets a (B, rows, N) block of states first
+    onwards, with B set by ``propagate``'s fixed scratch cap.
     """
     if isinstance(graph_or_spec, CirculantSpec):
         return lambda psi0, grid, visit=None: circulant_amplitudes(

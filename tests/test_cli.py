@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctqw
 from ctqw import (
     CouplingSeries,
     TimeGrid,
@@ -314,6 +318,19 @@ def test_verify_default_suppression_suite(tmp_path, capsys):
         assert label in out
     report = (tmp_path / "report.csv").read_text()
     assert report.count(",pass") == 3
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # python -m ctqw is the console script, with no RuntimeWarning about ctqw.cli
+    cfg = write_config(tmp_path, {"checks": [{"property": "suppression"}]})
+    src = str(Path(ctqw.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "ctqw", "verify", "--config", cfg]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.count(",pass\n") == 3
+    bad = subprocess.run(argv[:5] + ["bogus"], env=env, capture_output=True, text=True)
+    assert bad.returncode == 1 and "invalid choice" in bad.stderr
 
 
 def test_verify_rejects_unsuitable_instance(tmp_path, capsys):

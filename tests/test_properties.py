@@ -328,20 +328,28 @@ def test_suppression_matches_a_walk_per_start(instance):
 
 
 def test_suppression_gates_each_start_on_its_own(monkeypatch):
-    # Row k of V is scaled, so at t = 0 only the walk from node k loses its
-    # norm.  The ladder has 75 starts, more than one TIME_CHUNK group, and k
-    # is the last of them.
+    # Rows of V are scaled, so at t = 0 only the walks from those nodes lose
+    # their norm.  The ladder has 75 starts, more than one TIME_CHUNK group,
+    # and one grid row puts each group's starts in one batch.  The skewed
+    # starts are the last of them, one in the middle of a batch, and two in
+    # one batch, where the lower one is named.
     graph = build_moebius_ladder(150)
-    k = bipartition(graph).even[-1]
+    even = bipartition(graph).even
     solve = ctqw.walk.hamiltonian_eigensystem
+    for skewed, named in [
+        ((even[-1],), even[-1]),
+        ((even[30],), even[30]),
+        ((even[40], even[20]), even[20]),
+    ]:
 
-    def skewed(g, alpha, series):
-        es = solve(g, alpha, series)
-        return EigenSystem(es.values, es.vectors * np.where(np.arange(g.n) == k, 1.001, 1.0)[:, None])
+        def skew(g, alpha, series, skewed=skewed):
+            es = solve(g, alpha, series)
+            scale = np.where(np.isin(np.arange(g.n), skewed), 1.001, 1.0)
+            return EigenSystem(es.values, es.vectors * scale[:, None])
 
-    monkeypatch.setattr(ctqw.walk, "hamiltonian_eigensystem", skewed)
-    with pytest.raises(NormalizationError, match=f"walk from node {k}:"):
-        check_transport_suppression(graph, EXP, TimeGrid(0.0, 0.0, 1))
+        monkeypatch.setattr(ctqw.walk, "hamiltonian_eigensystem", skew)
+        with pytest.raises(NormalizationError, match=f"walk from node {named}:"):
+            check_transport_suppression(graph, EXP, TimeGrid(0.0, 0.0, 1))
 
 
 def test_suppression_rejects_a_growing_fourier_mode(monkeypatch):
@@ -356,18 +364,18 @@ def test_suppression_rejects_a_growing_fourier_mode(monkeypatch):
 
 
 def test_suppression_scratch_is_a_few_chunks():
-    # 51 starts on the 102-node directed Moebius ladder share each phase block;
-    # holding every start's chunk at once would take about 23 MiB
-    graph = build_moebius_ladder(102)
-    check_transport_suppression(graph, EXP)
-    tracemalloc.start()
-    try:
-        rep = check_transport_suppression(graph, EXP)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rep.passed, rep.line()
-    assert peak < 4 * 2**20
+    # 51 starts on the 102-node directed Moebius ladder share each phase block,
+    # on both engines; holding every start's chunk at once would take about 23 MiB
+    for instance in (build_moebius_ladder(102), moebius_spec(102)):
+        check_transport_suppression(instance, EXP)
+        tracemalloc.start()
+        try:
+            rep = check_transport_suppression(instance, EXP)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.passed, rep.line()
+        assert peak < 4 * 2**20
 
 
 def test_random_bipartite_graph_generator():

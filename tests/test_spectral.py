@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctqw.spectral
 from ctqw import (
     CirculantSpec,
     CouplingSeries,
@@ -235,6 +236,31 @@ def test_circulant_column_is_first_column_of_dense_circulant(n):
         dense = (s * spectrum) @ s.conj().T
         assert np.max(np.abs(dense[:, 0] - column)) < 1e-12
         assert np.max(np.abs(dense - column[np.subtract.outer(k, k) % n])) < 1e-12
+
+
+def test_fourier_engine_runs_on_an_ifft_without_out(monkeypatch):
+    # NumPy 1.x's ifft takes no ``out``; the engine must give the same fields with it
+    spec, series, grid = moebius_spec(12), CouplingSeries.exp(), TimeGrid(0.0, 9.0, TIME_CHUNK + 5)
+    states = np.eye(spec.n, dtype=complex)[[1, 4, 7]]
+
+    def fields():
+        walk = circulant_amplitudes(spec, 0.7, series, states[0], grid)
+        streamed = np.full((len(states), grid.steps, spec.n), np.nan, dtype=complex)
+
+        def keep(first, rows, block):
+            streamed[first : first + len(block), rows] = block
+
+        circulant_amplitudes(spec, 0.7, series, states, grid, keep)
+        out = np.empty((2, spec.n), dtype=complex)
+        assert circulant_column(states[:2], out=out) is out
+        return walk, streamed, out
+
+    expected = fields()
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda a, n=None, axis=-1, norm=None: ifft(a, n, axis, norm))
+    monkeypatch.setattr(ctqw.spectral, "_IFFT_TAKES_OUT", False)
+    for got, want in zip(fields(), expected):
+        assert np.array_equal(got, want)
 
 
 def test_amplitudes_scratch_memory_is_linear_in_n():

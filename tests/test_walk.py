@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ctqw.operators
 from ctqw import (
     CouplingSeries,
     DirectedGraph,
@@ -16,6 +17,7 @@ from ctqw import (
     build_ring,
     localized_state,
     moebius_spec,
+    propagate,
     propagator,
     read_walk_csv,
     ring_spec,
@@ -165,12 +167,71 @@ def test_streamed_states_match_single_walks(spec, dense):
     states /= np.linalg.norm(states, axis=1)[:, None]
     streamed = np.full((3, grid.steps, spec.n), np.nan, dtype=complex)
 
-    def keep(s, rows, amps):
-        streamed[s, rows] = amps
+    def keep(first, rows, block):
+        streamed[first : first + len(block), rows] = block
 
     assert amplitudes(states, grid, keep) is None
     for state, field in zip(states, streamed):
         assert np.max(np.abs(field - amplitudes(state, grid))) <= 1e-15
+
+
+# (scratch cap, states, grid steps, expected batch size B, expected visits) on
+# moebius_spec(10), N = 10; visits = chunks x ceil(states / B)
+BATCH_CASES = {
+    "fewer-states-than-a-batch": (4 * TIME_CHUNK * 10, 3, 2 * TIME_CHUNK, 4, 2),
+    "partial-last-batch": (4 * TIME_CHUNK * 10, 9, 2 * TIME_CHUNK, 4, 2 * 3),
+    "one-state-per-batch": (TIME_CHUNK * 10 - 1, 3, 2 * TIME_CHUNK, 1, 2 * 3),
+    "short-last-chunk": (4 * TIME_CHUNK * 10, 5, 2 * TIME_CHUNK + 5, 4, 3 * 2),
+    "grid-shorter-than-a-chunk": (4 * TIME_CHUNK * 10, 9, 20, 12, 1),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+@pytest.mark.parametrize("dense", [False, True], ids=["fourier", "dense"])
+def test_streamed_batches_respect_the_scratch_cap(monkeypatch, case, dense):
+    # B = max(1, cap // (rows * N)) states go per (chunk, batch), rows being the
+    # first chunk's; every state must still see its own walk
+    cap, count, steps, batch, visits = BATCH_CASES[case]
+    monkeypatch.setattr(ctqw.operators, "_SCRATCH_CELLS", cap)
+    spec = moebius_spec(10)
+    amplitudes = propagator(spec.to_graph() if dense else spec, 0.7, CouplingSeries.exp())
+    grid = TimeGrid(0.0, 9.0, steps)
+    rng = np.random.default_rng(count)
+    states = rng.normal(size=(count, spec.n)) + 1j * rng.normal(size=(count, spec.n))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    streamed = np.full((count, steps, spec.n), np.nan, dtype=complex)
+    seen = []
+
+    def keep(first, rows, block):
+        seen.append((first, rows.start, block.shape))
+        streamed[first : first + len(block), rows] = block
+
+    amplitudes(states, grid, keep)
+    assert len(seen) == visits
+    for first, start, shape in seen:
+        rows = min(TIME_CHUNK, steps - start)
+        assert first % batch == 0 and shape == (min(batch, count - first), rows, spec.n)
+    for state, field in zip(states, streamed):
+        assert np.max(np.abs(field - amplitudes(state, grid))) <= 1e-15
+
+
+@pytest.mark.parametrize("steps", [1, TIME_CHUNK + 3])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("node_major", [False, True], ids=["time-major", "node-major"])
+def test_blocks_come_in_the_map_back_layout(node_major, count, steps):
+    # a last-axis FFT takes time-major blocks and a gemm node-major ones, neither with a copy
+    n = 7
+    layouts = []
+
+    def to_nodes(block, out):
+        for b in (block, out):
+            memory = b.transpose(2, 0, 1) if node_major else b
+            layouts.append((b.shape[0], b.shape[2], memory.flags.c_contiguous))
+        out[...] = block
+
+    phi, grid = np.eye(n, dtype=complex)[:count], TimeGrid(0.0, 2.0, steps)
+    propagate(np.linspace(-1.0, 1.0, n), phi, grid, to_nodes, lambda *_: None, node_major)
+    assert layouts == [(count, n, True)] * 2 * -(-steps // TIME_CHUNK)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["fourier", "dense"])
