@@ -147,9 +147,12 @@ class HermitianOperator:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _by_construction(cls, m: np.ndarray) -> "HermitianOperator":
-        """Freeze and wrap an exactly Hermitian ``m``; only its finiteness is checked."""
-        _require_finite(m)
+    def _by_construction(cls, m: np.ndarray, entries=None) -> "HermitianOperator":
+        """Freeze and wrap an exactly Hermitian ``m``; only its finiteness is checked.
+
+        ``entries``, if given, holds every nonzero value of ``m`` and is checked instead.
+        """
+        _require_finite(m if entries is None else entries)
         m.setflags(write=False)
         op = object.__new__(cls)
         object.__setattr__(op, "matrix", m)
@@ -217,12 +220,20 @@ class CouplingSeries:
 
 
 def hermitian_adjacency(g, alpha: float) -> HermitianOperator:
-    """A_H(alpha) = exp(i alpha) A + exp(-i alpha) A^T for a directed graph or its adjacency A."""
-    a = g if isinstance(g, np.ndarray) else g.adjacency()
-    m = np.empty(a.shape, dtype=complex)
-    m.real = np.cos(alpha) * (a + a.T)
-    m.imag = np.sin(alpha) * (a - a.T)
-    return HermitianOperator._by_construction(m)
+    """A_H(alpha) = exp(i alpha) A + exp(-i alpha) A^T for a directed graph.
+
+    exp(i alpha) and its conjugate are scattered from the graph's (2, E) edge
+    index into zeros, so no N x N arithmetic runs: entry (i, j) is exp(i alpha)
+    for a one-way edge i -> j, its conjugate for j -> i and 2 cos(alpha) for
+    both, bit for bit the defining sum.  Only the phase is checked for
+    finiteness; a NaN or infinite one raises NonFiniteOperatorError.
+    """
+    phase = np.exp(1j * alpha)
+    tails, heads = g._ends
+    m = np.zeros((g.n, g.n), dtype=complex)
+    m[tails, heads] = phase
+    m[heads, tails] += phase.conjugate()
+    return HermitianOperator._by_construction(m, entries=phase)
 
 
 @dataclass(eq=False, frozen=True)
@@ -240,10 +251,12 @@ def propagate(values, phi, grid, to_nodes, visit=None, node_major=False):
     and ``to_nodes(block, out)`` maps a (B, rows, N) block of eigenbasis
     coefficients to node amplitudes, written into ``out`` of the same shape
     and layout.  The grid is walked in chunks of TIME_CHUNK rows.  One
-    (TIME_CHUNK, N) offset table exp(-i w j dt) is built per call, and the
-    phase block of the chunk starting at grid time t_c is that table times
-    the head exp(-i w t_c).  Scratch beyond the (T, N) result is
-    O(N * TIME_CHUNK).
+    (TIME_CHUNK, N) offset table exp(-i w j dt) is built per call by
+    doubling (``_offset_table``: log2(TIME_CHUNK) complex exponentials per
+    eigenvalue), and the phase block of the chunk starting at grid time t_c
+    is that table times the head exp(-i w t_c).  A batch of one state is
+    folded into the head, so its block is one multiply, table * (head * phi).
+    Scratch beyond the (T, N) result is O(N * TIME_CHUNK).
 
     With ``visit``, ``phi`` is an (S, N) stack of states that share each
     phase block.  They go B = max(1, 2^16 // (R N)) at a time, R being
@@ -257,9 +270,11 @@ def propagate(values, phi, grid, to_nodes, visit=None, node_major=False):
     more than one state raises ValueError.
 
     Blocks are time-major in memory, each (state, time) row of N entries
-    together, the layout a last-axis FFT takes.  With ``node_major`` they
-    are (N, B, rows) arrays in memory seen as (B, rows, N), the layout a
-    matrix product V X takes with no copy.
+    together, the layout a last-axis FFT takes; a single walk's ``to_nodes``
+    then writes straight into the rows of the result.  With ``node_major``
+    they are (N, B, rows) arrays in memory seen as (B, rows, N), the layout
+    a matrix product V X takes with no copy, and each mapped block is copied
+    into the C-ordered result.
     """
     times = grid.times()
     phi = np.atleast_2d(phi)
@@ -268,37 +283,62 @@ def propagate(values, phi, grid, to_nodes, visit=None, node_major=False):
         if phi.shape[0] > 1:
             raise ValueError(f"a stack of {phi.shape[0]} states needs visit")
         amps = np.empty((times.size, phi.shape[1]), dtype=complex)
+        if node_major:  # a gemm's node-major block is copied into the C-ordered result
 
-        def visit(_, rows, block):
-            amps[rows] = block[0]
+            def visit(_, rows, block):
+                amps[rows] = block[0]
 
+    # a time-major single walk maps back straight into its result's rows
+    into_result = visit is None
     # np.linspace's own step, so t_c + j dt lies within ~ulp(t) of the grid point it stands for
     dt = (grid.t_end - grid.t_start) / max(times.size - 1, 1)
-    steps = np.arange(min(TIME_CHUNK, times.size)) * dt
-    # the table, the states and (through empty_like) every phase block are stored in
-    # the blocks' layout
-    if node_major:
-        offsets, states = np.exp(-1j * np.outer(values, steps)).T, np.asfortranarray(phi)
-    else:
-        offsets, states = np.exp(-1j * np.outer(steps, values)), np.ascontiguousarray(phi)
+    offsets = _offset_table(values, dt, min(TIME_CHUNK, times.size), node_major)
+    # the states and every block are stored in the table's layout
+    states = np.asfortranarray(phi) if node_major else np.ascontiguousarray(phi)
     batch = min(len(states), max(1, _SCRATCH_CELLS // max(offsets.size, 1)))
-    # a phase table and two blocks of scratch, refilled per chunk and per (chunk, batch):
-    # allocating and freeing a fresh MiB block per batch can cost a page fault per 4 KiB
-    phases = np.empty_like(offsets)
-    eigen_cells, node_cells = np.empty((2, batch * offsets.size), dtype=complex)
+    # scratch refilled per chunk and per (chunk, batch): allocating and freeing a fresh
+    # MiB block per batch can cost a page fault per 4 KiB.  One state needs no phase table.
+    phases = np.empty_like(offsets) if batch > 1 else None
+    eigen_cells = np.empty(batch * offsets.size, dtype=complex)
+    node_cells = None if into_result else np.empty_like(eigen_cells)
     for start in range(0, times.size, TIME_CHUNK):
         rows = slice(start, min(start + TIME_CHUNK, times.size))
-        phase = phases[: rows.stop - start]
-        np.multiply(offsets[: len(phase)], np.exp(-1j * times[start] * values), out=phase)
+        table = offsets[: rows.stop - start]
+        head = np.exp(-1j * times[start] * values)
+        if phases is not None:
+            phase = np.multiply(table, head, out=phases[: len(table)])
         for first in range(0, len(states), batch):
             group = states[first : first + batch]
-            shape = (len(group), len(phase), values.size)
+            shape = (len(group), len(table), values.size)
             block = _block(eigen_cells, shape, node_major)
-            np.multiply(phase, group[:, None, :], out=block)
-            mapped = _block(node_cells, shape, node_major)
+            if len(group) == 1:
+                np.multiply(table, head * group[0], out=block[0])
+            else:
+                np.multiply(phase, group[:, None, :], out=block)
+            mapped = amps[None, rows] if into_result else _block(node_cells, shape, node_major)
             to_nodes(block, mapped)
-            visit(first, rows, mapped)
+            if not into_result:
+                visit(first, rows, mapped)
     return amps
+
+
+def _offset_table(values, dt: float, rows: int, node_major: bool) -> np.ndarray:
+    """The (rows, N) table exp(-i w j dt), j < rows, stored (N, rows) if node-major.
+
+    Row 0 is one, and rows k .. 2k - 1 are rows 0 .. k - 1 times exp(-i w k dt)
+    for k = 1, 2, 4, ...: k dt is exact, and row j is the product of one such
+    exponential per set bit of j, at most log2(TIME_CHUNK) of them.
+    """
+    table = np.empty((values.size, rows) if node_major else (rows, values.size), dtype=complex)
+    if node_major:
+        table = table.T
+    table[:1] = 1.0
+    k = 1
+    while k < rows:
+        count = min(k, rows - k)
+        np.multiply(table[:count], np.exp(-1j * (k * dt) * values), out=table[k : k + count])
+        k *= 2
+    return table
 
 
 def _block(cells: np.ndarray, shape, node_major: bool) -> np.ndarray:
@@ -394,14 +434,14 @@ def _undirected_hamiltonian(s: EigenSystem, alpha: float, series: CouplingSeries
 def hamiltonian_eigensystem(g, alpha: float, series: CouplingSeries) -> EigenSystem:
     """Ascending eigensystem of the walk Hamiltonian of a directed graph.
 
-    The adjacency is built once.  An undirected one (A = A^T) takes one real
-    eigensolve of S = A + A^T, which serves every alpha and series; any other
-    takes the eigensolve of ``assemble_hamiltonian``'s H.
+    The adjacency is built only for the A == A^T test.  An undirected graph
+    takes one real eigensolve of S = A + A^T, which serves every alpha and
+    series; any other takes the eigensolve of ``assemble_hamiltonian``'s H,
+    whose A_H is scattered from the edge index.
     """
     a = g.adjacency()
     if (a == a.T).all():
         s = hermitian_eigendecomposition(HermitianOperator._by_construction(a + a.T))
         return _undirected_hamiltonian(s, alpha, series)
-    ah = hermitian_adjacency(a, alpha)
     del a  # J's N x N products, which set the peak memory, do not need A
-    return hermitian_eigendecomposition(_hamiltonian(ah, series))
+    return hermitian_eigendecomposition(_hamiltonian(hermitian_adjacency(g, alpha), series))

@@ -124,7 +124,8 @@ class WalkResult:
         times = np.asarray(self.times, dtype=float)
         if amps.ndim != 2 or times.ndim != 1 or amps.shape[0] != times.shape[0]:
             raise ValueError("amplitudes must be (steps, n) matching the time grid")
-        probs = np.abs(amps) ** 2
+        probs = np.abs(amps)
+        probs *= probs
         object.__setattr__(self, "normalization_defect", row_norm_defect(probs))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amplitudes", amps)

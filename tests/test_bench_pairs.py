@@ -9,8 +9,8 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 METRICS = [
-    {"name": "ops_per_s", "better": "higher"},
-    {"name": "op_p50_s", "better": "lower"},
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+    {"name": "op_p50_s", "better": "lower", "bound": 0.25},
 ]
 
 
@@ -71,3 +71,60 @@ def test_summarize_needs_two_pairs_for_metrics():
     assert summary["one"]["failed_ops"] == {"parent": 0, "change": 1}
     assert summary["two"]["ops_per_s"]["change_wins"] == "2/2"
     assert summary["two"]["op_p50_s"]["change_wins"] == "0/2"
+
+
+def pairs(parent, change):
+    """Runs of workload "w" pairing parent[k] with change[k] (ops_per_s; op_p50_s is 1/ops)."""
+    return [
+        run("w", seed, side, value, 1.0 / value)
+        for seed, values in enumerate(zip(parent, change))
+        for side, value in zip(("parent", "change"), values)
+    ]
+
+
+PARENT = [9.8, 9.9, 10.0, 10.0, 10.0, 10.1, 10.2, 10.0, 9.9, 10.1]
+
+
+def test_verdict_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_spread():
+    summary = bench_pairs.summarize(pairs(PARENT, [v + 1.0 for v in PARENT]), METRICS)["w"]
+    assert summary["ops_per_s"]["change_wins"] == "10/10"
+    assert summary["ops_per_s"]["verdict"] == "gain"
+    assert summary["op_p50_s"]["verdict"] == "gain"  # lower is better
+    # 8/10 wins is not enough, however large the gap
+    eight = [v + 1.0 for v in PARENT[:8]] + [v - 0.01 for v in PARENT[8:]]
+    entry = bench_pairs.summarize(pairs(PARENT, eight), METRICS)["w"]["ops_per_s"]
+    assert (entry["change_wins"], entry["verdict"]) == ("8/10", "within bound")
+    # 9/10 wins by less than the parent's q3 - q1 (0.15 here) is no gain either
+    nine = [v + 0.02 for v in PARENT[:9]] + [PARENT[9] - 0.01]
+    entry = bench_pairs.summarize(pairs(PARENT, nine), METRICS)["w"]["ops_per_s"]
+    assert (entry["change_wins"], entry["verdict"]) == ("9/10", "within bound")
+    entry = bench_pairs.summarize(pairs(PARENT, [v + 0.5 for v in PARENT[:9]] + [9.0]), METRICS)
+    assert entry["w"]["ops_per_s"]["verdict"] == "gain"
+
+
+def test_verdict_worse_beyond_the_bound_in_the_worse_direction():
+    slower = bench_pairs.summarize(pairs(PARENT, [0.7 * v for v in PARENT]), METRICS)["w"]
+    assert slower["ops_per_s"]["verdict"] == "worse"  # 30% fewer ops, bound 25%
+    assert slower["op_p50_s"]["verdict"] == "worse"  # p50 up 43%
+    # 20% slower is within the 25% bound
+    within = bench_pairs.summarize(pairs(PARENT, [0.8 * v for v in PARENT]), METRICS)["w"]
+    assert within["ops_per_s"]["verdict"] == "within bound"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_beyond_the_bound():
+    wide = [4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 9.0, 11.0]  # q3 - q1 = 6 > 0.25 * 10.5
+    summary = bench_pairs.summarize(pairs(wide, [v + 10.0 for v in wide]), METRICS)["w"]
+    assert summary["ops_per_s"]["change_wins"] == "10/10"
+    assert summary["ops_per_s"]["verdict"] == "unresolved"
+    # unless every run of the change reads better than every run of the parent
+    summary = bench_pairs.summarize(pairs(wide, [v + 15.0 for v in wide]), METRICS)["w"]
+    assert summary["ops_per_s"]["verdict"] == "gain"
+    assert summary["op_p50_s"]["verdict"] == "gain"
+    # a change worse by more than the bound is worse, whatever the spread
+    summary = bench_pairs.summarize(pairs(wide, [0.5 * v for v in wide]), METRICS)["w"]
+    assert summary["ops_per_s"]["verdict"] == "worse"
+
+
+def test_verdict_within_bound_for_an_unchanged_metric():
+    summary = bench_pairs.summarize(pairs(PARENT, PARENT[1:] + PARENT[:1]), METRICS)["w"]
+    assert {summary[m]["verdict"] for m in ("ops_per_s", "op_p50_s")} == {"within bound"}

@@ -242,9 +242,21 @@ def test_fourier_engine_runs_on_an_ifft_without_out(monkeypatch):
     # NumPy 1.x's ifft takes no ``out``; the engine must give the same fields with it
     spec, series, grid = moebius_spec(12), CouplingSeries.exp(), TimeGrid(0.0, 9.0, TIME_CHUNK + 5)
     states = np.eye(spec.n, dtype=complex)[[1, 4, 7]]
+    column = ctqw.spectral.circulant_column
+    outs = []
+
+    def recording_column(spectrum, out=None):
+        outs.append(out)
+        return column(spectrum, out)
+
+    monkeypatch.setattr(ctqw.spectral, "circulant_column", recording_column)
 
     def fields():
+        outs.clear()
         walk = circulant_amplitudes(spec, 0.7, series, states[0], grid)
+        # a single walk's chunks are mapped back straight into the rows of its result
+        assert [out.shape for out in outs] == [(1, TIME_CHUNK, spec.n), (1, 5, spec.n)]
+        assert all(out.base is walk for out in outs)
         streamed = np.full((len(states), grid.steps, spec.n), np.nan, dtype=complex)
 
         def keep(first, rows, block):
@@ -252,7 +264,7 @@ def test_fourier_engine_runs_on_an_ifft_without_out(monkeypatch):
 
         circulant_amplitudes(spec, 0.7, series, states, grid, keep)
         out = np.empty((2, spec.n), dtype=complex)
-        assert circulant_column(states[:2], out=out) is out
+        assert column(states[:2], out=out) is out
         return walk, streamed, out
 
     expected = fields()
@@ -280,8 +292,9 @@ def test_amplitudes_scratch_memory_is_linear_in_n():
 
 def test_amplitudes_scratch_memory_is_bounded_by_the_chunk():
     # Over 16 chunks the scratch beyond the (T, N) result stays a few
-    # chunk-sized buffers; one batched (T, N) transform would need several
-    # result-sized ones (32 MiB each here).
+    # chunk-sized buffers, since each chunk is mapped back into the result's
+    # rows; one batched (T, N) transform would need several result-sized
+    # ones (32 MiB each here).
     n = 2048
     grid = TimeGrid(0.0, 5.0, 16 * TIME_CHUNK)
     chunk_bytes = TIME_CHUNK * n * 16
@@ -293,4 +306,7 @@ def test_amplitudes_scratch_memory_is_bounded_by_the_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - amps.nbytes < 6 * chunk_bytes
+    # measured 2.15-2.21 chunks: the offset table, one eigenbasis block and the FFT's
+    # small working arrays; NumPy 1.x's ifft returns one more chunk before it is copied in
+    chunks = 2.5 + (not ctqw.spectral._IFFT_TAKES_OUT)
+    assert peak - amps.nbytes < chunks * chunk_bytes

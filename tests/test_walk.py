@@ -25,7 +25,7 @@ from ctqw import (
     validate_state,
     write_walk_csv,
 )
-from ctqw.operators import TIME_CHUNK
+from ctqw.operators import TIME_CHUNK, _offset_table
 
 
 def test_time_grid_contract():
@@ -232,6 +232,34 @@ def test_blocks_come_in_the_map_back_layout(node_major, count, steps):
     phi, grid = np.eye(n, dtype=complex)[:count], TimeGrid(0.0, 2.0, steps)
     propagate(np.linspace(-1.0, 1.0, n), phi, grid, to_nodes, lambda *_: None, node_major)
     assert layouts == [(count, n, True)] * 2 * -(-steps // TIME_CHUNK)
+
+
+@pytest.mark.parametrize("steps", [1, TIME_CHUNK - 1, TIME_CHUNK, TIME_CHUNK + 1])
+@pytest.mark.parametrize("node_major", [False, True], ids=["time-major", "node-major"])
+def test_offset_table_matches_direct_exponentials(node_major, steps):
+    # the doubled table against one exponential per entry, on the grid step propagate uses
+    grid = TimeGrid(-3.5, 6.25, steps)
+    rows = min(TIME_CHUNK, steps)
+    dt = (grid.t_end - grid.t_start) / max(steps - 1, 1)
+    w = np.concatenate([np.linspace(-1e4, 1e4, 41), np.random.default_rng(steps).normal(0, 50, 40)])
+    table = _offset_table(w, dt, rows, node_major)
+    direct = np.exp(-1j * np.outer(np.arange(rows) * dt, w))
+    assert table.shape == (rows, w.size)
+    assert (table.T if node_major else table).flags.c_contiguous
+    # Row j is the product of one factor exp(-i fl(w k dt)) per set bit k of j, at
+    # most log2(TIME_CHUNK) of them, with k dt exact; the direct entry is one more
+    # exponential.  Each of these is within eps of the exponential of its rounded
+    # phase, and each complex product adds at most sqrt(5) eps / 2: under 3 eps
+    # per factor.  The factors' rounded phases sum to within eps |w| j dt / 2 of
+    # w j dt and the direct phase fl(w fl(j dt)) is within eps |w| j dt of it:
+    # under 2 eps max|w| (rows - 1) dt.
+    eps = np.finfo(float).eps
+    factors = int(math.log2(TIME_CHUNK)) + 1
+    bound = eps * (3 * factors + 2 * np.max(np.abs(w)) * (rows - 1) * dt)
+    assert np.max(np.abs(table - direct)) <= bound
+    # row 0 and the rows of one factor are exact, bit for bit
+    single = [0] + [2**b for b in range(int(math.log2(TIME_CHUNK))) if 2**b < rows]
+    assert np.array_equal(table[single], direct[single])
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["fourier", "dense"])

@@ -12,9 +12,10 @@ the other, one process at a time; the parent goes first on the first, third,
 ... seed and the change on the others, so slow drift of the host hits both
 sides alike.  With ``--trace-seed`` each side then makes one traced run per
 workload.  The output file holds every run's JSON line, and per workload each
-side's median, quartiles (inclusive method), extremes and the number of pairs
-the change wins on every end-to-end metric of ``BENCHMARK.json``.  It is
-rewritten after every run, so a cut-short session keeps what it measured.
+side's median, quartiles (inclusive method), extremes, the number of pairs
+the change wins and a ``verdict`` on every end-to-end metric of
+``BENCHMARK.json``.  It is rewritten after every run, so a cut-short session
+keeps what it measured.
 """
 
 from __future__ import annotations
@@ -51,6 +52,30 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
+def verdict(parent: dict, change: dict, wins: int, pairs: int, higher: bool, bound: float) -> str:
+    """One metric's verdict from both sides' ``spread`` and the pairs the change wins.
+
+    ``worse``: the change's median is worse than the parent's by more than
+    ``bound``, a fraction of the parent's median.  ``unresolved``: the
+    parent's own q3 - q1 exceeds that fraction, unless every run of the
+    change reads better than every run of the parent.  ``gain``: the change
+    wins at least 9 of 10 pairs and its median is better by more than the
+    parent's q3 - q1.  ``within bound``: none of these.  The first that holds
+    is given.
+    """
+    gap = (change["median"] - parent["median"]) * (1 if higher else -1)
+    scale = bound * abs(parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    apart = change["min"] > parent["max"] if higher else change["max"] < parent["min"]
+    if -gap > scale:
+        return "worse"
+    if iqr > scale and not apart:
+        return "unresolved"
+    if 10 * wins >= 9 * pairs and gap > iqr:
+        return "gain"
+    return "within bound"
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -72,11 +97,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                          for side, results in sides.items()}
                 wins = sum((value["change"][s] > value["parent"][s]) if higher
                            else (value["change"][s] < value["parent"][s]) for s in pairs)
+                parent = spread(list(value["parent"].values()))
+                change = spread(list(value["change"].values()))
                 entry[name] = {
                     "better": metric["better"],
-                    "parent": spread(list(value["parent"].values())),
-                    "change": spread(list(value["change"].values())),
+                    "parent": parent,
+                    "change": change,
                     "change_wins": f"{wins}/{len(pairs)}",
+                    "verdict": verdict(parent, change, wins, len(pairs), higher, metric["bound"]),
                 }
         summary[workload] = entry
     return summary
