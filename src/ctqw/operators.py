@@ -254,12 +254,13 @@ def propagate(values, phi, grid, to_nodes, visit=None, node_major=False):
     (TIME_CHUNK, N) offset table exp(-i w j dt) is built per call by
     doubling (``_offset_table``: log2(TIME_CHUNK) complex exponentials per
     eigenvalue), and the phase block of the chunk starting at grid time t_c
-    is that table times the head exp(-i w t_c).  A batch of one state is
-    folded into the head, so its block is one multiply, table * (head * phi).
+    is that table times the head exp(-i w t_c).  The head is folded into
+    each batch of states, so a (chunk, batch) block is one multiply,
+    table * (head * phi), the same products for a state in any batch.
     Scratch beyond the (T, N) result is O(N * TIME_CHUNK).
 
     With ``visit``, ``phi`` is an (S, N) stack of states that share each
-    phase block.  They go B = max(1, 2^16 // (R N)) at a time, R being
+    chunk's table and head.  They go B = max(1, 2^16 // (R N)) at a time, R being
     TIME_CHUNK or the number of grid points if fewer: each (chunk, batch)
     takes one call of ``to_nodes`` and one of ``visit(first, rows, block)``,
     where ``block`` is (B, rows, N) and holds states first .. first + B - 1
@@ -296,25 +297,19 @@ def propagate(values, phi, grid, to_nodes, visit=None, node_major=False):
     # the states and every block are stored in the table's layout
     states = np.asfortranarray(phi) if node_major else np.ascontiguousarray(phi)
     batch = min(len(states), max(1, _SCRATCH_CELLS // max(offsets.size, 1)))
-    # scratch refilled per chunk and per (chunk, batch): allocating and freeing a fresh
-    # MiB block per batch can cost a page fault per 4 KiB.  One state needs no phase table.
-    phases = np.empty_like(offsets) if batch > 1 else None
+    # scratch refilled per (chunk, batch): allocating and freeing a fresh MiB
+    # block per batch can cost a page fault per 4 KiB
     eigen_cells = np.empty(batch * offsets.size, dtype=complex)
     node_cells = None if into_result else np.empty_like(eigen_cells)
     for start in range(0, times.size, TIME_CHUNK):
         rows = slice(start, min(start + TIME_CHUNK, times.size))
         table = offsets[: rows.stop - start]
         head = np.exp(-1j * times[start] * values)
-        if phases is not None:
-            phase = np.multiply(table, head, out=phases[: len(table)])
         for first in range(0, len(states), batch):
             group = states[first : first + batch]
             shape = (len(group), len(table), values.size)
             block = _block(eigen_cells, shape, node_major)
-            if len(group) == 1:
-                np.multiply(table, head * group[0], out=block[0])
-            else:
-                np.multiply(phase, group[:, None, :], out=block)
+            np.multiply(table, (head * group)[:, None, :], out=block)
             mapped = amps[None, rows] if into_result else _block(node_cells, shape, node_major)
             to_nodes(block, mapped)
             if not into_result:
@@ -434,14 +429,13 @@ def _undirected_hamiltonian(s: EigenSystem, alpha: float, series: CouplingSeries
 def hamiltonian_eigensystem(g, alpha: float, series: CouplingSeries) -> EigenSystem:
     """Ascending eigensystem of the walk Hamiltonian of a directed graph.
 
-    The adjacency is built only for the A == A^T test.  An undirected graph
-    takes one real eigensolve of S = A + A^T, which serves every alpha and
-    series; any other takes the eigensolve of ``assemble_hamiltonian``'s H,
-    whose A_H is scattered from the edge index.
+    An undirected graph (``g.is_symmetric``) takes one real eigensolve of
+    S = A + A^T, which serves every alpha and series; any other takes the
+    eigensolve of ``assemble_hamiltonian``'s H, whose A_H is scattered from
+    the edge index, so no adjacency matrix is built.
     """
-    a = g.adjacency()
-    if (a == a.T).all():
+    if g.is_symmetric:
+        a = g.adjacency()
         s = hermitian_eigendecomposition(HermitianOperator._by_construction(a + a.T))
         return _undirected_hamiltonian(s, alpha, series)
-    del a  # J's N x N products, which set the peak memory, do not need A
     return hermitian_eigendecomposition(_hamiltonian(hermitian_adjacency(g, alpha), series))

@@ -177,7 +177,7 @@ def propagator(graph_or_spec, alpha: float, series: CouplingSeries):
     later call; a circulant spec's Fourier spectrum costs one length-N FFT
     per call.  ``psi0`` must be a normalized state of the right size and
     ``grid`` a ``TimeGrid``.  A third argument ``visit`` streams an (S, N)
-    stack of states instead, every state sharing each chunk's phase block:
+    stack of states instead, every state sharing each chunk's phases:
     ``visit(first, rows, block)`` gets a (B, rows, N) block of states first
     onwards, with B set by ``propagate``'s fixed scratch cap.
     """

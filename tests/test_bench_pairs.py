@@ -73,10 +73,14 @@ def test_summarize_needs_two_pairs_for_metrics():
     assert summary["two"]["op_p50_s"]["change_wins"] == "0/2"
 
 
-def pairs(parent, change):
-    """Runs of workload "w" pairing parent[k] with change[k] (ops_per_s; op_p50_s is 1/ops)."""
+def pairs(parent, change, failed=None):
+    """Runs of workload "w" pairing parent[k] with change[k] (ops_per_s; op_p50_s is 1/ops).
+
+    ``failed`` maps a side to the failed ops of each of its runs (default none).
+    """
+    failed = failed or {}
     return [
-        run("w", seed, side, value, 1.0 / value)
+        run("w", seed, side, value, 1.0 / value, failed=failed.get(side, 0))
         for seed, values in enumerate(zip(parent, change))
         for side, value in zip(("parent", "change"), values)
     ]
@@ -128,3 +132,22 @@ def test_verdict_unresolved_when_the_parent_spreads_beyond_the_bound():
 def test_verdict_within_bound_for_an_unchanged_metric():
     summary = bench_pairs.summarize(pairs(PARENT, PARENT[1:] + PARENT[:1]), METRICS)["w"]
     assert {summary[m]["verdict"] for m in ("ops_per_s", "op_p50_s")} == {"within bound"}
+
+
+def test_verdict_gain_needs_ten_pairs():
+    # nine pairs, each won by a wide margin, are too few for a gain
+    summary = bench_pairs.summarize(pairs(PARENT[:9], [v + 1.0 for v in PARENT[:9]]), METRICS)
+    entry = summary["w"]["ops_per_s"]
+    assert (entry["change_wins"], entry["verdict"]) == ("9/9", "within bound")
+
+
+def test_verdict_gain_needs_no_more_failed_ops_than_the_parent():
+    faster = [v + 1.0 for v in PARENT]
+    summary = bench_pairs.summarize(pairs(PARENT, faster, failed={"change": 1}), METRICS)["w"]
+    assert summary["failed_ops"] == {"parent": 0, "change": 10}
+    assert summary["ops_per_s"]["change_wins"] == "10/10"
+    assert {summary[m]["verdict"] for m in ("ops_per_s", "op_p50_s")} == {"within bound"}
+    # as many failed ops on both sides do not hold a gain back
+    summary = bench_pairs.summarize(
+        pairs(PARENT, faster, failed={"parent": 1, "change": 1}), METRICS)["w"]
+    assert summary["ops_per_s"]["verdict"] == "gain"

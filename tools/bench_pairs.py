@@ -52,16 +52,18 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
-def verdict(parent: dict, change: dict, wins: int, pairs: int, higher: bool, bound: float) -> str:
+def verdict(parent: dict, change: dict, wins: int, pairs: int, higher: bool, bound: float,
+            failed: dict) -> str:
     """One metric's verdict from both sides' ``spread`` and the pairs the change wins.
 
     ``worse``: the change's median is worse than the parent's by more than
     ``bound``, a fraction of the parent's median.  ``unresolved``: the
     parent's own q3 - q1 exceeds that fraction, unless every run of the
-    change reads better than every run of the parent.  ``gain``: the change
-    wins at least 9 of 10 pairs and its median is better by more than the
-    parent's q3 - q1.  ``within bound``: none of these.  The first that holds
-    is given.
+    change reads better than every run of the parent.  ``gain``: there are
+    at least 10 pairs, the change wins at least 9 of 10 of them, its median
+    is better by more than the parent's q3 - q1, and it fails no more ops
+    than the parent (``failed`` maps each side to its failed-op count).
+    ``within bound``: none of these.  The first that holds is given.
     """
     gap = (change["median"] - parent["median"]) * (1 if higher else -1)
     scale = bound * abs(parent["median"])
@@ -71,7 +73,7 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, higher: bool, bou
         return "worse"
     if iqr > scale and not apart:
         return "unresolved"
-    if 10 * wins >= 9 * pairs and gap > iqr:
+    if pairs >= 10 and 10 * wins >= 9 * pairs and gap > iqr and failed["change"] <= failed["parent"]:
         return "gain"
     return "within bound"
 
@@ -104,7 +106,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                     "parent": parent,
                     "change": change,
                     "change_wins": f"{wins}/{len(pairs)}",
-                    "verdict": verdict(parent, change, wins, len(pairs), higher, metric["bound"]),
+                    "verdict": verdict(parent, change, wins, len(pairs), higher, metric["bound"],
+                                       entry["failed_ops"]),
                 }
         summary[workload] = entry
     return summary
