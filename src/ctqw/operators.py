@@ -370,15 +370,62 @@ def _hermitian_horner(coefficients, x: np.ndarray) -> np.ndarray:
     Every partial sum P is a polynomial in X, so P X is Hermitian up to
     rounding; each step keeps its Hermitian part and adds c_k I, so the
     result is exactly Hermitian, after d - 1 products, and needs no gate.
+    A sparse X takes ``_walk_sum`` instead while that stays the cheaper.
     """
     c = coefficients
     d = len(c) - 1
     if d == 0:
         return _plus_identity(np.zeros_like(x), c[0])
+    walks = _walk_sum(c, x) if d > 1 else None
+    if walks is not None:
+        return walks
     p = _plus_identity(c[d] * x, c[d - 1])
     for k in range(d - 2, -1, -1):
         p = _plus_identity(_hermitian_part(p @ x), c[k])
     return p
+
+
+def _walk_sum(coefficients, x: np.ndarray):
+    """Horner's rule for sum_k c_k X^k on the walks of X's nonzero pattern.
+
+    A term (i, j, v) of P is a walk i -> j weighted by X's entries along it
+    and one coefficient: each step P X + c_k I extends every term by each
+    nonzero of X in row j and adds the N terms of c_k I.  The terms are only
+    summed into the N x N result at the end, whose Hermitian part is
+    returned, so it is exactly Hermitian.  A step whose terms would outnumber
+    the N^2 entries of the result returns None: then each dense product,
+    N^3 multiply-adds, costs less than summing that many terms.
+    """
+    c = coefficients
+    d = len(c) - 1
+    n = len(x)
+    # X is Hermitian, so its pattern is symmetric: row j and column j hold degree[j] nonzeros
+    degree = np.count_nonzero(x, axis=1)
+    if degree @ (degree + 1) + n > n * n:
+        return None
+    rows, cols = np.nonzero(x)  # row-major, so the nonzeros of each row are one run
+    values = x[rows, cols]
+    starts = np.searchsorted(rows, np.arange(n))
+    nodes = np.arange(n)
+    # the terms of P = c_d X + c_{d-1} I
+    i, j = np.concatenate([rows, nodes]), np.concatenate([cols, nodes])
+    v = np.concatenate([c[d] * values, np.full(n, c[d - 1], dtype=x.dtype)])
+    for k in range(d - 2, -1, -1):
+        counts = degree[j]
+        total = int(counts.sum())
+        if total + n > n * n:
+            return None
+        # index into (cols, values) of each extension: term t's run starts at starts[j[t]]
+        at = np.arange(total) + np.repeat(starts[j] - (np.cumsum(counts) - counts), counts)
+        i = np.concatenate([np.repeat(i, counts), nodes])
+        j = np.concatenate([cols[at], nodes])
+        v = np.concatenate([np.repeat(v, counts) * values[at], np.full(n, c[k], dtype=x.dtype)])
+    key = i * n + j
+    total = np.empty(n * n, dtype=x.dtype)
+    total.real = np.bincount(key, v.real, n * n)
+    if np.iscomplexobj(total):
+        total.imag = np.bincount(key, v.imag, n * n)
+    return _hermitian_part(total.reshape(n, n))
 
 
 def apply_coupling(series: CouplingSeries, op: HermitianOperator) -> HermitianOperator:

@@ -27,7 +27,7 @@ from ctqw import (
     random_polynomial_series,
     run_walk,
 )
-from ctqw.operators import _hermitian_horner, _hermitian_part
+from ctqw.operators import _hermitian_horner, _hermitian_part, _walk_sum
 
 
 def test_parse_phase_tokens():
@@ -388,6 +388,47 @@ def test_horner_low_degrees_need_no_product():
     assert np.array_equal(constant, 0.7 * np.eye(5))
     linear = apply_coupling(CouplingSeries.polynomial([0.7, -2.0]), op).matrix
     assert np.array_equal(linear, -2.0 * op.matrix + 0.7 * np.eye(5))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_walk_sum_is_exactly_hermitian_within_a_priori_bound(degree):
+    # A_H of a 200-node digraph of out-degree 2, as in walk-mix: its walk terms stay few
+    n = 200
+    rng = np.random.default_rng(degree)
+    heads = [rng.choice(np.delete(np.arange(n), i), 2, replace=False) for i in range(n)]
+    graph = DirectedGraph(n, frozenset((i, int(j)) for i in range(n) for j in heads[i]))
+    x = hermitian_adjacency(graph, 0.7).matrix
+    coefficients = rng.uniform(-1, 1, degree + 1)
+    walks = _walk_sum(coefficients, x)
+    assert walks is not None and np.array_equal(walks, walks.conj().T)
+    assert np.array_equal(_hermitian_horner(coefficients, x), walks)
+    # A term is a product of at most d + 1 factors, one coefficient and at most d
+    # entries of X; an entry of the result sums fewer than n^2 terms, and the
+    # Hermitian part costs one more rounding.  Each term of entry (i, j) is at
+    # most |c_k| (|X|^k)_ij, and |X|^k is entrywise at most ||X||_inf^k.
+    u = np.finfo(float).eps / 2
+    m = (degree + 1) + n * n + 1
+    gamma = m * u / (1 - m * u)
+    norm = float(np.abs(x).sum(axis=1).max())
+    bound = gamma * sum(abs(c) * norm**k for k, c in enumerate(coefficients))
+    assert float(np.max(np.abs(walks - _clongdouble_polynomial(coefficients, x)))) <= bound
+
+
+def test_walk_sum_declines_once_terms_outnumber_the_entries():
+    # the directed 20-ring's A_H has 2 nonzeros a row: P's terms go 60, 140, 300, 620, ...
+    # against the 400 entries of the result, so a cubic is summed by walks and a sextic is not
+    x = hermitian_adjacency(build_ring(20), 0.4).matrix
+    cubic, sextic = [0.3, -1.0, 0.5, 0.25], [0.3, -1.0, 0.5, 0.25, 0.1, -0.2, 0.05]
+    assert _walk_sum(cubic, x) is not None
+    assert _walk_sum(sextic, x) is None
+    oracle = _clongdouble_polynomial(sextic, x)
+    assert np.max(np.abs(_hermitian_horner(sextic, x) - oracle)) < 1e-12
+    # a dense operator is declined before any term is built
+    assert _walk_sum(cubic, _random_hermitian(np.random.default_rng(9), 8)) is None
+    # a real operator gives a real sum
+    real = _walk_sum(cubic, x.real)
+    assert real.dtype == np.float64 and np.array_equal(real, real.T)
+    assert np.max(np.abs(real - _clongdouble_polynomial(cubic, x.real))) < 1e-12
 
 
 def _count_eigh(monkeypatch):
