@@ -393,8 +393,9 @@ def _walk_sum(coefficients, x: np.ndarray):
     nonzero of X in row j and adds the N terms of c_k I.  The terms are only
     summed into the N x N result at the end, whose Hermitian part is
     returned, so it is exactly Hermitian.  A step whose terms would outnumber
-    the N^2 entries of the result returns None: then each dense product,
-    N^3 multiply-adds, costs less than summing that many terms.
+    the N^2 entries of the result returns None, and the dense products run:
+    below that count the terms cost a few passes over N^2 cells, against
+    N^3 multiply-adds per dense product.
     """
     c = coefficients
     d = len(c) - 1
@@ -421,18 +422,19 @@ def _walk_sum(coefficients, x: np.ndarray):
         j = np.concatenate([cols[at], nodes])
         v = np.concatenate([np.repeat(v, counts) * values[at], np.full(n, c[k], dtype=x.dtype)])
     key = i * n + j
-    total = np.empty(n * n, dtype=x.dtype)
-    total.real = np.bincount(key, v.real, n * n)
-    if np.iscomplexobj(total):
-        total.imag = np.bincount(key, v.imag, n * n)
-    return _hermitian_part(total.reshape(n, n))
+    summed = np.empty(n * n, dtype=x.dtype)
+    summed.real = np.bincount(key, v.real, n * n)
+    if np.iscomplexobj(summed):
+        summed.imag = np.bincount(key, v.imag, n * n)
+    return _hermitian_part(summed.reshape(n, n))
 
 
 def apply_coupling(series: CouplingSeries, op: HermitianOperator) -> HermitianOperator:
     """Evaluate J(M) for a Hermitian M.
 
     The identity series returns its input unchanged, and a polynomial of
-    degree at most 7 is evaluated by Hermitian Horner products.  Every other
+    degree at most 7 is evaluated by Hermitian Horner products, or for a
+    sparse M by Horner's rule over its walks (``_walk_sum``).  Every other
     series is applied spectrally: V J(w) V^H from the eigensystem of M.
     Only that spectral result, Hermitian up to rounding, is gated.
     """
