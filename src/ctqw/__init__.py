@@ -39,7 +39,6 @@ from .spectral import (
     circulant_ah_spectrum,
     circulant_amplitudes,
     circulant_column,
-    circulant_evolution,
     circulant_hamiltonian_spectrum,
     fourier_basis,
 )

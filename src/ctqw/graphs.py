@@ -10,6 +10,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -60,10 +61,10 @@ class DirectedGraph:
         a[self._ends[0], self._ends[1]] = 1.0
         return a
 
-    @property
-    def is_symmetric(self) -> bool:
-        """True when every edge has its reverse (A = A^T)."""
-        return all((j, i) in self.edges for i, j in self.edges)
+    @cached_property
+    def one_way_edges(self) -> frozenset[Edge]:
+        """Edges without their reverse: the support of A - A^T, empty iff A = A^T."""
+        return frozenset((i, j) for i, j in self.edges if (j, i) not in self.edges)
 
 
 @dataclass(frozen=True)

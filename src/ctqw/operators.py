@@ -455,36 +455,23 @@ def assemble_hamiltonian(g, alpha: float, series: CouplingSeries) -> HermitianOp
     J(A_H) is stored exactly Hermitian, so its plain transpose is its
     conjugate and the sum is exactly 2 Re J(A_H), a real symmetric matrix.
     """
-    return _hamiltonian(hermitian_adjacency(g, alpha), series)
-
-
-def _hamiltonian(ah: HermitianOperator, series: CouplingSeries) -> HermitianOperator:
-    j = apply_coupling(series, ah)
+    j = apply_coupling(series, hermitian_adjacency(g, alpha))
     return HermitianOperator._by_construction(2.0 * j.matrix.real)
-
-
-def _undirected_hamiltonian(s: EigenSystem, alpha: float, series: CouplingSeries) -> EigenSystem:
-    """Eigensystem of H(alpha) from that of S = A + A^T of an undirected graph.
-
-    H = V diag(2 J(cos(alpha) l)) V^T; the pairs are sorted ascending, and
-    non-finite values raise NonFiniteOperatorError.
-    """
-    w = 2.0 * series.scalar(np.cos(alpha) * s.values)
-    _require_finite(w)
-    order = np.argsort(w, kind="stable")
-    return EigenSystem(w[order], s.vectors[:, order])
 
 
 def hamiltonian_eigensystem(g, alpha: float, series: CouplingSeries) -> EigenSystem:
     """Ascending eigensystem of the walk Hamiltonian of a directed graph.
 
-    An undirected graph (``g.is_symmetric``) takes one real eigensolve of
-    S = A + A^T, which serves every alpha and series; any other takes the
-    eigensolve of ``assemble_hamiltonian``'s H, whose A_H is scattered from
-    the edge index, so no adjacency matrix is built.
+    An undirected graph (no ``g.one_way_edges``) takes one real eigensolve of S = A + A^T,
+    H = V diag(2 J(cos(alpha) l)) V^T for every alpha and series (NonFiniteOperatorError on
+    non-finite values); any other the eigensolve of ``assemble_hamiltonian``'s H, whose A_H
+    is scattered from the edge index, so no adjacency matrix is built.
     """
-    if g.is_symmetric:
-        a = g.adjacency()
-        s = hermitian_eigendecomposition(HermitianOperator._by_construction(a + a.T))
-        return _undirected_hamiltonian(s, alpha, series)
-    return hermitian_eigendecomposition(_hamiltonian(hermitian_adjacency(g, alpha), series))
+    if g.one_way_edges:
+        return hermitian_eigendecomposition(assemble_hamiltonian(g, alpha, series))
+    a = g.adjacency()
+    s = hermitian_eigendecomposition(HermitianOperator._by_construction(a + a.T))
+    w = 2.0 * series.scalar(np.cos(alpha) * s.values)
+    _require_finite(w)
+    order = np.argsort(w, kind="stable")
+    return EigenSystem(w[order], s.vectors[:, order])

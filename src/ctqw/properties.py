@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CirculantSpec, DirectedGraph, Edge, bipartition
+from .graphs import CirculantSpec, DirectedGraph, bipartition
 from .operators import TIME_CHUNK, CouplingSeries, _real_number, _whole_number
 from .walk import (
     DEFAULT_TIME_GRID,
     ROW_NORM_TOL,
     TimeGrid,
     _as_state,
+    _label,
     propagator,
     row_norm_defect,
     run_walk,
@@ -59,17 +60,6 @@ def _graph_of(graph_or_spec) -> DirectedGraph:
     raise TypeError(f"expected DirectedGraph or CirculantSpec, got {type(graph_or_spec)!r}")
 
 
-def _one_way_edges(g: DirectedGraph) -> set[Edge]:
-    """Edges without their reverse: the support of A - A^T, all that A_H(pi/2) sees."""
-    return {(i, j) for i, j in g.edges if (j, i) not in g.edges}
-
-
-def _default_label(graph_or_spec) -> str:
-    if isinstance(graph_or_spec, CirculantSpec):
-        return f"circulant-n{graph_or_spec.n}"
-    return f"graph-n{graph_or_spec.n}"
-
-
 def check_transport_suppression(
     graph_or_spec,
     series: CouplingSeries,
@@ -100,7 +90,7 @@ def check_transport_suppression(
     if not starts or any(not (0 <= i < graph.n) for i in starts):
         raise ValueError(f"partition must be a nonempty subset of 0..{graph.n - 1}")
     side = set(starts)
-    inside = sorted((i, j) for i, j in _one_way_edges(graph) if (i in side) == (j in side))
+    inside = sorted((i, j) for i, j in graph.one_way_edges if (i in side) == (j in side))
     if inside:
         raise ValueError(f"edge {inside[0]} joins one partition side but is not bidirected")
     amplitudes = propagator(graph_or_spec, HALF_PI, series)
@@ -127,7 +117,7 @@ def check_transport_suppression(
         states[np.arange(len(group)), group] = 1.0
         amplitudes(states, grid, reduce)
     return PropertyReport(
-        "suppression", _default_label(graph_or_spec), deviation, TOL_SUPPRESSION
+        "suppression", _label(graph_or_spec), deviation, TOL_SUPPRESSION
     )
 
 
@@ -161,17 +151,19 @@ def check_mirror_symmetries(
     (P at pi/2 + delta vs pi/2 - delta, plus the implied pi-periodicity)
     needs a bipartite graph (a circulant spec's is that of its nonzero
     offsets) and an initial state supported on one side of every weakly
-    connected component; ``half_pi_branch`` forces it on (ValueError when
-    the preconditions fail), off, or automatic (None).
+    connected component; ``half_pi_branch``, a bool (NumPy's too) or None,
+    forces it on (ValueError when the preconditions fail), off, or automatic.
     """
+    if not (half_pi_branch is None or isinstance(half_pi_branch, (bool, np.bool_))):
+        raise ValueError(f"half_pi_branch must be None or a bool, got {half_pi_branch!r}")
     deltas = [_real_number(d, "delta") for d in deltas]
     if not deltas:
         raise ValueError("need at least one delta")
     initial = _as_state(initial, graph_or_spec.n)
     eligible = _half_pi_eligible(graph_or_spec, initial)
-    if half_pi_branch is True and not eligible:
+    if half_pi_branch and not eligible:
         raise ValueError("pi/2 mirror branch needs a bipartite graph and a one-sided initial state")
-    run_half_pi = eligible if half_pi_branch is None else half_pi_branch
+    run_half_pi = eligible if half_pi_branch is None else bool(half_pi_branch)
 
     def walk(alpha):
         return run_walk(graph_or_spec, alpha, series, initial, grid).probabilities
@@ -184,7 +176,7 @@ def check_mirror_symmetries(
             pairs.append((walk(HALF_PI + delta), walk(HALF_PI - delta)))
             pairs.append((p_plus, walk(delta + math.pi)))
         deviation = max(deviation, *(float(np.max(np.abs(a - b))) for a, b in pairs))
-    return PropertyReport("mirror", _default_label(graph_or_spec), deviation, TOL_MIRROR)
+    return PropertyReport("mirror", _label(graph_or_spec), deviation, TOL_MIRROR)
 
 
 def check_stationary_at_half_pi(
@@ -197,13 +189,13 @@ def check_stationary_at_half_pi(
     if isinstance(graph_or_spec, CirculantSpec):
         symmetric = graph_or_spec.is_reversal_symmetric
     else:
-        symmetric = _graph_of(graph_or_spec).is_symmetric
+        symmetric = not _graph_of(graph_or_spec).one_way_edges
     if not symmetric:
         raise ValueError("stationarity at pi/2 needs an undirected graph (A = A^T)")
     result = run_walk(graph_or_spec, HALF_PI, series, initial, grid)
     deviation = float(np.max(np.abs(result.probabilities - result.probabilities[0])))
     return PropertyReport(
-        "stationary", _default_label(graph_or_spec), deviation, TOL_STATIONARY
+        "stationary", _label(graph_or_spec), deviation, TOL_STATIONARY
     )
 
 
@@ -219,13 +211,13 @@ def check_bidirected_edge_cancellation(
     g2 = _graph_of(second)
     if g1.n != g2.n:
         raise ValueError(f"graphs must share a node count, got {g1.n} and {g2.n}")
-    differ = sorted(_one_way_edges(g1) ^ _one_way_edges(g2))
+    differ = sorted(g1.one_way_edges ^ g2.one_way_edges)
     if differ:
         raise ValueError(f"edge {differ[0]} is one-way in only one graph: not a bidirected pair")
     p1 = run_walk(first, HALF_PI, series, initial, grid).probabilities
     p2 = run_walk(second, HALF_PI, series, initial, grid).probabilities
     deviation = float(np.max(np.abs(p1 - p2)))
-    label = f"{_default_label(first)}|{_default_label(second)}"
+    label = f"{_label(first)}|{_label(second)}"
     return PropertyReport("cancellation", label, deviation, TOL_CANCELLATION)
 
 
@@ -265,6 +257,7 @@ def random_bipartite_graph(rng: np.random.Generator, max_nodes: int = 16) -> Dir
     attempts used: the graph and the generator state after the call are
     those of drawing one uniform per cell in that order.
     """
+    max_nodes = _whole_number(max_nodes, "max_nodes")
     if max_nodes < 2:
         raise ValueError("need max_nodes >= 2")
     n = int(rng.integers(2, max_nodes + 1))
@@ -299,6 +292,7 @@ def random_directed_graph(rng: np.random.Generator, max_nodes: int = 10) -> Dire
 
     The n (n-1) uniforms are read row by row, skipping the diagonal.
     """
+    max_nodes = _whole_number(max_nodes, "max_nodes")
     if max_nodes < 2:
         raise ValueError("need max_nodes >= 2")
     n = int(rng.integers(2, max_nodes + 1))
@@ -310,5 +304,8 @@ def random_directed_graph(rng: np.random.Generator, max_nodes: int = 10) -> Dire
 
 def random_polynomial_series(rng: np.random.Generator, max_degree: int = 5) -> CouplingSeries:
     """Random explicit polynomial of degree <= max_degree, coefficients in [-1, 1]."""
+    max_degree = _whole_number(max_degree, "max_degree")
+    if max_degree < 0:
+        raise ValueError("need max_degree >= 0")
     degree = int(rng.integers(0, max_degree + 1))
     return CouplingSeries.polynomial(rng.uniform(-1.0, 1.0, size=degree + 1))

@@ -71,19 +71,6 @@ def circulant_column(spectrum: np.ndarray, out: np.ndarray | None = None) -> np.
     return out
 
 
-def circulant_evolution(
-    c: CirculantSpec, alpha: float, series: CouplingSeries, t: float
-) -> np.ndarray:
-    """Propagator U(t) = S exp(-i D t) S^H of the circulant walk Hamiltonian.
-
-    U is circulant, U[i, j] = u[(i - j) % N] with u its first column.
-    """
-    d = circulant_hamiltonian_spectrum(c, alpha, series)
-    u = circulant_column(np.exp(-1j * d * t))
-    k = np.arange(c.n)
-    return u[np.subtract.outer(k, k) % c.n]
-
-
 def circulant_amplitudes(
     c: CirculantSpec,
     alpha: float,

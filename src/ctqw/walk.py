@@ -136,15 +136,12 @@ class WalkResult:
         return self.amplitudes.shape[1]
 
 
-def _real_matmul(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """v @ x for real v and complex 2-D x: one real gemm on the (re, im) column pairs of x."""
-    return (v @ np.ascontiguousarray(x).view(float)).view(complex)
-
-
 def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, grid: TimeGrid, visit=None):
-    # V is real (every assembled H is float64), so it is never cast to a complex N x N copy
+    # V is real (every assembled H is float64), so it is never cast to a complex N x N copy:
+    # V^T meets the states' (re, im) column pairs in one real gemm
     v = es.vectors
-    phi = _real_matmul(v.T, np.atleast_2d(np.asarray(psi0, dtype=complex)).T).T
+    states = np.ascontiguousarray(np.atleast_2d(np.asarray(psi0, dtype=complex)).T)
+    phi = (v.T @ states.view(float)).view(complex).T
 
     def columns(block):
         # a node-major (B, rows, N) block is an (N, B, rows) array in memory, so this is a
@@ -166,8 +163,8 @@ def _as_state(initial, n: int) -> np.ndarray:
 
 def _label(graph_or_spec) -> str:
     if isinstance(graph_or_spec, CirculantSpec):
-        return f"circulant(n={graph_or_spec.n})"
-    return f"graph(n={graph_or_spec.n}, edges={len(graph_or_spec.edges)})"
+        return f"circulant-n{graph_or_spec.n}"
+    return f"graph-n{graph_or_spec.n}"
 
 
 def propagator(graph_or_spec, alpha: float, series: CouplingSeries):

@@ -11,6 +11,7 @@ from ctqw import (
     build_ring,
     build_star,
     moebius_spec,
+    random_directed_graph,
     read_edge_list,
     ring_spec,
     weakly_connected_components,
@@ -39,8 +40,42 @@ def test_adjacency_and_symmetry():
     g = DirectedGraph(3, frozenset({(0, 1), (1, 2)}))
     expected = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=float)
     assert np.array_equal(g.adjacency(), expected)
-    assert not g.is_symmetric
-    assert DirectedGraph(2, frozenset({(0, 1), (1, 0)})).is_symmetric
+    assert g.one_way_edges
+    assert not DirectedGraph(2, frozenset({(0, 1), (1, 0)})).one_way_edges
+
+
+def one_way_oracle(g: DirectedGraph) -> list[set]:
+    # Independent oracle: the positive cells of A - A^T, and its whole nonzero pattern.
+    d = g.adjacency() - g.adjacency().T
+    return [{(int(i), int(j)) for i, j in zip(*np.nonzero(mask))} for mask in (d > 0, d != 0)]
+
+
+def test_one_way_edges_match_the_support_of_a_minus_a_transpose():
+    rng = np.random.default_rng(18)
+    graphs = [random_directed_graph(rng, 12) for _ in range(40)] + [
+        DirectedGraph(1, frozenset()),
+        DirectedGraph(4, frozenset()),
+        build_star(3, directed=False),
+        build_ring(7, directed=False),
+        build_star(3),
+        build_ring(7),
+        DirectedGraph(3, frozenset({(0, 1), (1, 0), (1, 2)})),
+    ]
+    for g in graphs:
+        one_way, support = one_way_oracle(g)
+        assert g.one_way_edges == one_way <= g.edges
+        assert support == one_way | {(j, i) for i, j in one_way}
+    # the empty and fully symmetric graphs have none, an oriented graph every edge
+    for g in graphs[-7:-3]:
+        assert g.one_way_edges == frozenset()
+    for g in graphs[-3:-1]:
+        assert g.one_way_edges == g.edges
+    assert graphs[-1].one_way_edges == {(1, 2)}
+    # computed once per frozen graph, and no part of its equality
+    g = graphs[-1]
+    assert g.one_way_edges is g.one_way_edges
+    twin = DirectedGraph(3, frozenset({(0, 1), (1, 0), (1, 2)}))
+    assert g == twin and hash(g) == hash(twin)
 
 
 def test_build_star_edges():

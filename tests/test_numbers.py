@@ -23,7 +23,9 @@ from ctqw import (
     localized_state,
     moebius_spec,
     parse_phase,
+    random_bipartite_graph,
     random_directed_graph,
+    random_polynomial_series,
     read_edge_list,
     ring_closed_form_support,
     ring_hamiltonian_closed_form,
@@ -90,6 +92,18 @@ WHOLE_ENTRIES = {
     "ring_hamiltonian_closed_form-size": (
         lambda v: ring_hamiltonian_closed_form(v, 0.1, [1.0]).matrix,
         6,
+    ),
+    "random_bipartite_graph-max_nodes": (
+        lambda v: random_bipartite_graph(np.random.default_rng(3), v),
+        5,
+    ),
+    "random_directed_graph-max_nodes": (
+        lambda v: random_directed_graph(np.random.default_rng(3), v),
+        5,
+    ),
+    "random_polynomial_series-max_degree": (
+        lambda v: random_polynomial_series(np.random.default_rng(3), v),
+        2,
     ),
     "cli-int": (
         lambda v: _cli_check(property="suppression-random", count=v, max_nodes=4, max_degree=1)[1](),

@@ -97,6 +97,14 @@ def test_mirror_half_branch_requires_suitable_instance():
     for instance in (build_ring(5), ring_spec(5)):
         with pytest.raises(ValueError):
             check_mirror_symmetries(instance, EXP, deltas=(0.2,), initial=0, half_pi_branch=True)
+        # a NumPy bool is checked as its Python bool; any other value is no switch at all
+        with pytest.raises(ValueError, match="bipartite"):
+            check_mirror_symmetries(instance, EXP, deltas=(0.2,), half_pi_branch=np.True_)
+        for bad in (1, "no"):
+            with pytest.raises(ValueError, match="None or a bool"):
+                check_mirror_symmetries(instance, EXP, deltas=(0.2,), half_pi_branch=bad)
+        off = check_mirror_symmetries(instance, EXP, deltas=(0.2,), half_pi_branch=False)
+        assert check_mirror_symmetries(instance, EXP, (0.2,), half_pi_branch=np.False_) == off
     # auto mode quietly runs the plain mirror only
     rep = check_mirror_symmetries(ring_spec(5), EXP, deltas=(0.2,), initial=0)
     assert rep.passed
@@ -451,6 +459,19 @@ def test_random_graphs_read_the_scalar_stream(bit_generator, sampler, reference,
             drawn = _draw(sampler, np.random.Generator(bit_generator(seed)), max_nodes)
             expected = _draw(reference, np.random.Generator(bit_generator(seed)), max_nodes)
             assert drawn == expected, (seed, max_nodes)
+
+
+def test_random_generators_reject_sizes_below_their_floor():
+    rng = np.random.default_rng(7)
+    state = _plain(rng.bit_generator.state)
+    for sampler in (random_bipartite_graph, random_directed_graph):
+        with pytest.raises(ValueError, match="max_nodes >= 2"):
+            sampler(rng, 1)
+    with pytest.raises(ValueError, match="max_degree >= 0"):
+        random_polynomial_series(rng, -1)
+    # a rejected size draws nothing; degree 0 is a constant
+    assert _plain(rng.bit_generator.state) == state
+    assert len(random_polynomial_series(rng, 0).coefficients) == 1
 
 
 def test_exhausted_bipartite_draw_reads_the_scalar_stream_in_bounded_scratch():

@@ -17,7 +17,6 @@ from ctqw import (
     circulant_ah_spectrum,
     circulant_amplitudes,
     circulant_column,
-    circulant_evolution,
     circulant_hamiltonian_spectrum,
     fourier_basis,
     hermitian_adjacency,
@@ -106,12 +105,25 @@ def test_hamiltonian_spectrum_matches_dense(seed, n):
     assert np.max(np.abs(np.sort(d) - dense)) < 1e-9
 
 
+def _propagator_matrix(graph_or_spec, alpha, series, t):
+    """U(t) through the engine's own propagator: the N basis states streamed at one time."""
+    n = graph_or_spec.n
+    u = np.empty((n, n), dtype=complex)
+
+    def keep(first, _, block):
+        # block[b, 0] is U(t) applied to basis state first + b: a column of U
+        u[:, first : first + len(block)] = block[:, 0].T
+
+    propagator(graph_or_spec, alpha, series)(np.eye(n, dtype=complex), TimeGrid(t, t, 1), keep)
+    return u
+
+
 def test_evolution_unitary_and_identity_at_zero():
     spec = ring_spec(6)
     series = CouplingSeries.exp()
-    u0 = circulant_evolution(spec, 0.4, series, 0.0)
+    u0 = _propagator_matrix(spec, 0.4, series, 0.0)
     assert np.max(np.abs(u0 - np.eye(6))) < 1e-14
-    u = circulant_evolution(spec, 0.4, series, 2.7)
+    u = _propagator_matrix(spec, 0.4, series, 2.7)
     assert np.max(np.abs(u @ u.conj().T - np.eye(6))) < 1e-12
 
 
@@ -119,7 +131,7 @@ def test_evolution_matches_dense_exponential():
     spec = CirculantSpec((0.0, 1.0, 0.0, 0.0, 1.0, 0.0))
     alpha, t = 0.9, 1.3
     series = CouplingSeries.sinh()
-    u = circulant_evolution(spec, alpha, series, t)
+    u = _propagator_matrix(spec, alpha, series, t)
     h = assemble_hamiltonian(spec.to_graph(), alpha, series)
     es = hermitian_eigendecomposition(h)
     dense = (es.vectors * np.exp(-1j * es.values * t)) @ es.vectors.conj().T
@@ -135,7 +147,7 @@ def test_amplitudes_grid_matches_single_steps():
     amps = circulant_amplitudes(spec, alpha, series, psi0, grid)
     assert amps.shape == (7, 8)
     for k, t in enumerate(grid.times()):
-        step = circulant_evolution(spec, alpha, series, float(t)) @ psi0
+        step = _propagator_matrix(spec, alpha, series, float(t)) @ psi0
         assert np.max(np.abs(amps[k] - step)) < 1e-12
 
 
@@ -220,7 +232,7 @@ def test_phase_table_matches_direct_exp_on_long_grids(spec, series, grid):
 def test_evolution_matches_dense_fourier_oracle(n):
     spec = _spec_for(n)
     series = CouplingSeries.sinh()
-    u = circulant_evolution(spec, -1.1, series, 2.3)
+    u = _propagator_matrix(spec, -1.1, series, 2.3)
     assert np.max(np.abs(u - _dense_propagator(spec, -1.1, series, 2.3))) < 1e-12
 
 
