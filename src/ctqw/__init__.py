@@ -74,7 +74,16 @@ from .properties import (
     random_directed_graph,
     random_polynomial_series,
 )
-from .cli import write_heatmap_pgm
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["write_heatmap_pgm"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the PGM writer lives in the CLI, which is imported on first use only, so that
+    # `python -m ctqw.cli` does not find ctqw.cli already imported by the package
+    if name == "write_heatmap_pgm":
+        from .cli import write_heatmap_pgm
+
+        return write_heatmap_pgm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .operators import _real_number, _whole_number
+from .operators import _ascii_spelling, _real_number, _whole_number
 
 Edge = tuple[int, int]
 
@@ -241,8 +241,8 @@ def write_edge_list(g: DirectedGraph, path) -> None:
 def read_edge_list(path) -> DirectedGraph:
     """Read the format written by :func:`write_edge_list`.
 
-    Blank lines and lines starting with ``#`` are skipped.  Duplicate edges
-    are rejected.
+    Blank lines and lines starting with ``#`` are skipped.  Duplicate edges,
+    and integers spelled with ``_`` or non-ASCII digits, are rejected.
     """
     lines = []
     with open(path, "r", encoding="ascii") as fh:
@@ -255,13 +255,13 @@ def read_edge_list(path) -> DirectedGraph:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "n":
         raise ValueError(f"{path}: expected 'n <count>' header, got {lines[0]!r}")
-    n = int(head[1])
+    n = int(_ascii_spelling(head[1], f"{path}: node count"))
     edges: set[Edge] = set()
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}: malformed edge line {line!r}")
-        e = (int(parts[0]), int(parts[1]))
+        e = tuple(int(_ascii_spelling(part, f"{path}: node")) for part in parts)
         if e in edges:
             raise ValueError(f"{path}: duplicate edge {e}")
         edges.add(e)

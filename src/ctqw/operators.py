@@ -51,13 +51,19 @@ class NonFiniteOperatorError(ArithmeticError):
     """Raised when an operator holds NaN or infinite entries."""
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    """Overwrite ``m`` with its Hermitian part (M + M^H)/2 and return it."""
     # halving first keeps M + M^H from overflowing for entries near the float maximum;
     # adding in place holds no third N x N array (numpy copies an operand that
     # overlaps its output, as a real M^H = M^T does)
-    h = m * 0.5
-    h += h.conj().T
-    return h
+    m *= 0.5
+    m += m.conj().T
+    return m
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^H)/2 in a new array, leaving ``m`` as it is."""
+    return _hermitize(m.copy())
 
 
 def _require_finite(values) -> None:
@@ -89,17 +95,28 @@ def _whole_number(value, what: str) -> int:
     return int(value)
 
 
+def _ascii_spelling(text: str, what: str) -> str:
+    """``text``, a number as read from text, if it is ASCII with no ``_``, else ValueError.
+
+    ``int`` and ``float`` also read ``1_0`` as 10 and non-ASCII digits, which
+    the file formats and phase tokens do not spell numbers with.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{what} must be spelled with ASCII digits and no '_', got {text!r}")
+    return text
+
+
 def parse_phase(token) -> float:
     """Parse a phase value from a number or a symbolic token.
 
     Accepts real numbers under ``_real_number``'s rule, numeric strings, and
     pi fractions such as ``"pi"``, ``"pi/2"``, ``"3pi/4"``, ``"-pi/3"``,
-    ``"0.5pi"``.  Anything else, or a value that is not a finite float,
-    raises ValueError.
+    ``"0.5pi"``, spelled in ASCII with no ``_`` (``_ascii_spelling``).
+    Anything else, or a value that is not a finite float, raises ValueError.
     """
     if not isinstance(token, str):
         return _real_number(token, "phase")
-    text = token.strip().lower()
+    text = _ascii_spelling(token.strip().lower(), "phase")
     m = _PI_TOKEN.match(text)
     if m:
         value = math.pi
@@ -381,7 +398,7 @@ def _hermitian_horner(coefficients, x: np.ndarray) -> np.ndarray:
         return walks
     p = _plus_identity(c[d] * x, c[d - 1])
     for k in range(d - 2, -1, -1):
-        p = _plus_identity(_hermitian_part(p @ x), c[k])
+        p = _plus_identity(_hermitize(p @ x), c[k])
     return p
 
 
@@ -426,7 +443,7 @@ def _walk_sum(coefficients, x: np.ndarray):
     summed.real = np.bincount(key, v.real, n * n)
     if np.iscomplexobj(summed):
         summed.imag = np.bincount(key, v.imag, n * n)
-    return _hermitian_part(summed.reshape(n, n))
+    return _hermitize(summed.reshape(n, n))
 
 
 def apply_coupling(series: CouplingSeries, op: HermitianOperator) -> HermitianOperator:

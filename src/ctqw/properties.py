@@ -168,14 +168,22 @@ def check_mirror_symmetries(
     def walk(alpha):
         return run_walk(graph_or_spec, alpha, series, initial, grid).probabilities
 
+    def gap(a, b) -> float:
+        diff = a - b
+        return float(np.max(np.abs(diff, out=diff)))
+
+    def gaps(delta):
+        # a function of its own, so one delta's fields are freed before the next delta walks
+        p_plus = walk(delta)
+        found = [gap(p_plus, walk(-delta))]
+        if run_half_pi:
+            found.append(gap(walk(HALF_PI + delta), walk(HALF_PI - delta)))
+            found.append(gap(p_plus, walk(delta + math.pi)))
+        return found
+
     deviation = 0.0
     for delta in deltas:
-        p_plus = walk(delta)
-        pairs = [(p_plus, walk(-delta))]
-        if run_half_pi:
-            pairs.append((walk(HALF_PI + delta), walk(HALF_PI - delta)))
-            pairs.append((p_plus, walk(delta + math.pi)))
-        deviation = max(deviation, *(float(np.max(np.abs(a - b))) for a, b in pairs))
+        deviation = max(deviation, *gaps(delta))
     return PropertyReport("mirror", _label(graph_or_spec), deviation, TOL_MIRROR)
 
 

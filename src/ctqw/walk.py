@@ -255,15 +255,65 @@ def _parse_times(text: np.ndarray) -> np.ndarray:
     return np.repeat(spelled.astype(float), np.diff(np.r_[heads, text.size]))
 
 
+def _header(lines) -> str:
+    """The first line of ``lines`` that is neither blank nor a ``#`` comment, stripped, or ""."""
+    return next((line for line in map(str.strip, lines) if line and line[0] != "#"), "")
+
+
+def _read_writer_order(path):
+    """(times, probabilities) of a CSV in :func:`write_walk_csv`'s row order, else None.
+
+    Writer order: the node column is 0..N-1 repeated, each block of N rows
+    has one time spelling shorter than ``_TIME_FIELD``, and the block times
+    are distinct floats.  The open file goes to ``np.loadtxt`` after the
+    header, and the field is a reshape of the parsed rows.  Any other file,
+    or one whose parse raises here, gets None.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            if _header(fh).split(",")[:3] != ["t", "node", "probability"]:
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body is not writer order
+                rows = np.loadtxt(
+                    fh, _CSV_ROW, delimiter=",", comments="#", usecols=(0, 1, 2), ndmin=1
+                )
+        n = rows["node"][-1] + 1 if rows.size else 0.0
+        if not (1 <= n <= rows.size and n == int(n) and rows.size % n == 0):
+            return None
+        n = int(n)
+        text = rows["t"].reshape(-1, n)
+        spelled = text[:, 0]
+        if not (
+            (rows["node"].reshape(-1, n) == np.arange(n)).all()
+            and (text == spelled[:, None]).all()
+            and np.char.str_len(spelled).max() < _TIME_FIELD
+        ):
+            return None
+        times = spelled.astype(float)
+    except ValueError:
+        return None
+    if np.unique(times).size < times.size:
+        return None
+    return times, rows["p"].reshape(-1, n).copy()
+
+
 def read_walk_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back (times, probabilities) from :func:`write_walk_csv` output.
 
     Times keep their order of first appearance, cells without a row read 0,
-    and a repeated (t, node) row replaces the earlier one.
+    and a repeated (t, node) row replaces the earlier one.  A file in writer
+    order is read in one pass; any other goes through ``_read_any_order``.
     """
+    read = _read_writer_order(path)
+    return read if read is not None else _read_any_order(path)
+
+
+def _read_any_order(path) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`read_walk_csv` for rows in any order, placing each row by its (time, node)."""
     with open(path, "r", encoding="ascii") as fh:
         lines = (line for line in fh if not line.isspace())
-        header = next((line.strip() for line in lines if not line.lstrip().startswith("#")), "")
+        header = _header(lines)
         if header and header.split(",")[:3] != ["t", "node", "probability"]:
             raise ValueError(f"{path}: unexpected CSV header {header!r}")
         with warnings.catch_warnings():

@@ -10,8 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ctqw.walk
 from ctqw import WalkResult, read_walk_csv, write_heatmap_pgm, write_walk_csv
 from ctqw.cli import LOG_FLOOR, LOG_SPAN
+from ctqw.walk import _read_writer_order
 
 
 def loop_write_walk_csv(result, path, include_amplitudes=False, header_lines=()):
@@ -168,6 +170,103 @@ def test_reader_round_trips_written_walks(tmp_path):
             assert np.array_equal(probs, result.probabilities)
 
 
+def _written(result, tmp_path, include_amplitudes=False):
+    """The comment and header lines of a written walk, then its data rows."""
+    path = tmp_path / "written.csv"
+    write_walk_csv(result, path, include_amplitudes, ["alpha: 0.5"])
+    lines = path.read_text().splitlines()
+    return lines[:2], lines[2:]
+
+
+def _with_gaps(rows):
+    # an empty line and a comment line after every third row
+    return [line for k, row in enumerate(rows) for line in [row] + ["", "# note"] * (k % 3 == 0)]
+
+
+@pytest.mark.parametrize("gaps", [False, True], ids=["dense", "gaps"])
+@pytest.mark.parametrize("include_amplitudes", [False, True], ids=["p", "amplitudes"])
+@pytest.mark.parametrize(
+    "make",
+    [edge_case_walk, lambda: random_walk(70, 13), lambda: random_walk(1, 4)],
+    ids=["edge-values", "random", "one-time"],
+)
+def test_writer_order_files_are_read_by_reshape(
+    tmp_path, monkeypatch, make, include_amplitudes, gaps
+):
+    result = make()
+    (comment, header), rows = _written(result, tmp_path, include_amplitudes)
+    path = tmp_path / "walk.csv"
+    write_rows(path, _with_gaps(rows) if gaps else rows, header, ("", comment, ""))
+
+    def refuse(csv):
+        raise AssertionError(f"{csv} left the writer-order path")
+
+    monkeypatch.setattr(ctqw.walk, "_read_any_order", refuse)
+    times, probs = assert_reads_like_loop_reader(path)
+    assert np.array_equal(times, result.times)
+    assert np.array_equal(probs, result.probabilities)
+    # fresh C-contiguous float64 arrays, not views of the parsed rows
+    for array in (times, probs):
+        assert array.dtype == np.float64 and array.flags.c_contiguous and array.flags.owndata
+
+
+def _near_miss(rows, n, kind):
+    """Written rows of a walk with ``n`` nodes, changed in one place out of writer order."""
+    rows = list(rows)
+    t1 = rows[n].split(",")[0]
+    if kind == "repeated-row":
+        rows.insert(n + 3, f"{t1},2,0.5")
+    elif kind == "missing-cell":
+        del rows[n + 1]
+    elif kind == "swapped-rows":
+        rows[n + 1], rows[n + 2] = rows[n + 2], rows[n + 1]
+    elif kind == "respelled-time":
+        # block 2 spells block 0's time, 0, as 0.0
+        rows[2 * n : 3 * n] = ["0.0," + row.split(",", 1)[1] for row in rows[2 * n : 3 * n]]
+    elif kind == "mixed-block":
+        # a row of block 1 carries block 2's time
+        rows[n + 1] = rows[2 * n].split(",")[0] + "," + rows[n + 1].split(",", 1)[1]
+    elif kind == "whitespace-line":
+        rows.insert(n, "   ")
+    return rows
+
+
+NEAR_MISSES = [
+    "repeated-row",
+    "missing-cell",
+    "swapped-rows",
+    "respelled-time",
+    "mixed-block",
+    "whitespace-line",
+]
+
+
+@pytest.mark.parametrize("kind", NEAR_MISSES)
+def test_near_writer_order_files_take_the_any_order_path(tmp_path, kind):
+    result = random_walk(6, 5)
+    (_, header), rows = _written(result, tmp_path)
+    path = tmp_path / "near.csv"
+    write_rows(path, _near_miss(rows, result.n, kind), header)
+    assert _read_writer_order(path) is None
+    assert_reads_like_loop_reader(path)
+
+
+@pytest.mark.parametrize("kind", ["overlong-time", "negative-node"])
+def test_near_writer_order_files_raise_the_any_order_errors(tmp_path, kind):
+    (_, header), rows = _written(random_walk(3, 4), tmp_path)
+    if kind == "overlong-time":
+        rows[:4] = ["0." + "0" * 31 + "," + row.split(",", 1)[1] for row in rows[:4]]
+        match = "shorter than 32"
+    else:
+        rows[1] = rows[1].replace(",1,", ",-1,")
+        match = "non-negative"
+    path = tmp_path / "near.csv"
+    write_rows(path, rows, header)
+    assert _read_writer_order(path) is None
+    with pytest.raises(ValueError, match=match):
+        read_walk_csv(path)
+
+
 def test_reader_skips_comment_and_blank_lines_between_rows(tmp_path):
     path = tmp_path / "gaps.csv"
     rows = ["0,0,0.25", "", "# mid-file note", "0,1,0.75", "   ", "1,0,0.5", "1,1,0.5"]
@@ -282,3 +381,20 @@ def test_write_walk_csv_memory_is_bounded_per_row():
     finally:
         tracemalloc.stop()
     assert peak < 8 * row_bytes
+
+
+def test_writer_order_read_peak_memory_is_bounded(tmp_path):
+    # the round trip's 500 x 120 CSV: its parsed rows take 48 bytes each (2.7 MiB), and
+    # with the field and the order checks the read fits in 4 MiB; placing every row by
+    # its (time, node), as a file out of writer order is read, peaks at 6.9 MiB
+    path = tmp_path / "walk.csv"
+    write_walk_csv(random_walk(500, 120), path)
+    read_walk_csv(path)  # first-call imports and caches are not the reader's scratch
+    tracemalloc.start()
+    try:
+        times, probs = read_walk_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (500, 120)
+    assert peak < 4 * 2**20

@@ -112,7 +112,7 @@ def test_unknown_keys_rejected(tmp_path, capsys):
         assert "unknown keys" in capsys.readouterr().err
 
 
-def test_bad_inputs_exit_one(tmp_path):
+def test_bad_inputs_exit_one(tmp_path, capsys):
     bad_phase = simulate_cfg(alphas="tau/4")
     assert main(["simulate", "--config", write_config(tmp_path, bad_phase)]) == 1
     bad_family = simulate_cfg(graph={"family": "torus", "size": 6})
@@ -126,6 +126,16 @@ def test_bad_inputs_exit_one(tmp_path):
     assert main(["simulate", "--config", str(not_json)]) == 1
     huge_phase = simulate_cfg(alphas=[10**400])
     assert main(["simulate", "--config", write_config(tmp_path, huge_phase)]) == 1
+    # int and float would read these as 10; the number rule takes ASCII digits and no "_"
+    capsys.readouterr()
+    separated_phase = simulate_cfg(alphas="1_0")
+    assert main(["simulate", "--config", write_config(tmp_path, separated_phase)]) == 1
+    assert "phase must be spelled with ASCII digits and no '_'" in capsys.readouterr().err
+    graph_path = tmp_path / "separated.txt"
+    graph_path.write_text("n 12\n0 1_0\n")
+    separated_node = simulate_cfg(graph={"family": "edge-list", "path": str(graph_path)})
+    assert main(["simulate", "--config", write_config(tmp_path, separated_node)]) == 1
+    assert "node must be spelled with ASCII digits and no '_'" in capsys.readouterr().err
 
 
 def _complete_edges(n, missing=()):
@@ -331,6 +341,11 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert done.stdout.count(",pass\n") == 3
     bad = subprocess.run(argv[:5] + ["bogus"], env=env, capture_output=True, text=True)
     assert bad.returncode == 1 and "invalid choice" in bad.stderr
+    # the package root does not import ctqw.cli, so running it as a module does not warn
+    cli_help = argv[:4] + ["ctqw.cli", "--help"]
+    done = subprocess.run(cli_help, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage:")
 
 
 def test_verify_rejects_unsuitable_instance(tmp_path, capsys):

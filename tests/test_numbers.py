@@ -48,8 +48,11 @@ def _cli_check(**check):
 
 # Not real numbers, or not finite floats: every entry point rejects them.
 NOT_REAL = (True, np.True_, "1", None, math.nan, math.inf, -math.inf, 10**400)
-# A phase may be a string token, so it is tried with one that overflows instead.
-NOT_PHASE = tuple(v for v in NOT_REAL if not isinstance(v, str)) + ("1e400",)
+# A phase may be a string token, so it is tried with one that overflows instead, and
+# with spellings that int and float read but the rule does not: "_" and non-ASCII digits.
+NOT_PHASE = tuple(v for v in NOT_REAL if not isinstance(v, str)) + (
+    "1e400", "1_0", "2_0pi", "pi/1_0", "\u0663pi/4", "0.\u0665",
+)
 
 REAL_ENTRIES = {
     "TimeGrid-start": lambda v: TimeGrid(v, 1.0, 3),
@@ -193,14 +196,36 @@ def test_non_finite_phase_fails_alike_on_the_fourier_engine(alpha):
 
 def _edge_list(tmp_path, text):
     path = tmp_path / "graph.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        (" -1e-3 ", -1e-3),
+        ("+0.5", 0.5),
+        ("1E-3", 1e-3),
+        (" +pi/2 ", math.pi / 2),
+        ("-3pi/4", -3 * math.pi / 4),
+    ],
+)
+def test_phase_keeps_signs_exponents_and_spaces(token, value):
+    assert parse_phase(token) == pytest.approx(value, rel=1e-15)
+
+
+@pytest.mark.parametrize("text", ["n 3\n0 2\n", "n +3\n+0 2\n", " n  3 \n 0\t2 \n"])
+def test_edge_list_keeps_signs_and_spaces(tmp_path, text):
+    assert read_edge_list(_edge_list(tmp_path, text)) == DirectedGraph(3, frozenset({(0, 2)}))
 
 
 @pytest.mark.parametrize(
     "call, match",
     [
         (lambda tmp: read_edge_list(_edge_list(tmp, "n 3\n0 1 2\n")), "malformed edge line"),
+        (lambda tmp: read_edge_list(_edge_list(tmp, "n 12\n0 1_0\n")), "no '_'"),
+        (lambda tmp: read_edge_list(_edge_list(tmp, "n 1_2\n0 1\n")), "no '_'"),
+        (lambda tmp: read_edge_list(_edge_list(tmp, "n 4\n0 \u0663\n")), "'ascii' codec"),
         (lambda tmp: HermitianOperator(np.zeros((2, 3))), "must be square"),
         (
             lambda tmp: check_transport_suppression(build_star(3), EXP, GRID, [7]),
@@ -212,6 +237,9 @@ def _edge_list(tmp_path, text):
     ],
     ids=[
         "edge-list-line",
+        "edge-list-underscore-node",
+        "edge-list-underscore-count",
+        "edge-list-non-ascii-digit",
         "non-square-operator",
         "partition-out-of-range",
         "empty-deltas",

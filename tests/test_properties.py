@@ -191,6 +191,27 @@ def test_mirror_mixed_parity_state_blocks_half_branch():
         )
 
 
+def _traced_peak(call):
+    call()  # first-call imports and caches are not the call's scratch
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mirror_frees_each_deltas_fields_before_the_next_delta():
+    # beyond one walk, the check holds P(+delta) while P(-delta) is computed; one
+    # delta's two fields still held during the next delta's walks would be three
+    n, steps = 60, 400
+    g = DirectedGraph(n, frozenset((i, (i + k) % n) for i in range(n) for k in (1, 7)))
+    grid = TimeGrid(0.0, 5.0, steps)
+    walk = _traced_peak(lambda: run_walk(g, 0.1, EXP, 0, grid))
+    mirror = _traced_peak(lambda: check_mirror_symmetries(g, EXP, [0.1, 0.5], 0, grid, False))
+    assert mirror < walk + 2 * steps * n * 8
+
+
 def test_stationary_at_half_pi():
     rep = check_stationary_at_half_pi(ring_spec(8, directed=False), EXP, 0)
     assert rep.passed
