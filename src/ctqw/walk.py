@@ -59,6 +59,8 @@ class TimeGrid:
         object.__setattr__(self, "t_start", t_start)
         object.__setattr__(self, "t_end", t_end)
         object.__setattr__(self, "steps", steps)
+        if steps > 1 and not np.all(np.diff(self.times()) > 0):
+            raise ValueError("time grid points must rise strictly; use steps 1 for one time")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.steps)
@@ -244,15 +246,7 @@ def write_walk_csv(result: WalkResult, path, include_amplitudes: bool = False, h
 # spells any float in at most 24 characters.
 _TIME_FIELD = 32
 _CSV_ROW = np.dtype([("t", f"S{_TIME_FIELD}"), ("node", float), ("p", float)])
-
-
-def _parse_times(text: np.ndarray) -> np.ndarray:
-    """Float value of each time field, converting each run of equal fields once."""
-    heads = np.flatnonzero(np.r_[True, text[1:] != text[:-1]])
-    spelled = text[heads]
-    if np.char.str_len(spelled).max() >= _TIME_FIELD:
-        raise ValueError(f"time fields must be shorter than {_TIME_FIELD} characters")
-    return np.repeat(spelled.astype(float), np.diff(np.r_[heads, text.size]))
+_LOADTXT = dict(dtype=_CSV_ROW, delimiter=",", comments="#", usecols=(0, 1, 2), ndmin=1)
 
 
 def _header(lines) -> str:
@@ -260,80 +254,70 @@ def _header(lines) -> str:
     return next((line for line in map(str.strip, lines) if line and line[0] != "#"), "")
 
 
-def _read_writer_order(path):
-    """(times, probabilities) of a CSV in :func:`write_walk_csv`'s row order, else None.
-
-    Writer order: the node column is 0..N-1 repeated, each block of N rows
-    has one time spelling shorter than ``_TIME_FIELD``, and the block times
-    are distinct floats.  The open file goes to ``np.loadtxt`` after the
-    header, and the field is a reshape of the parsed rows.  Any other file,
-    or one whose parse raises here, gets None.
-    """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            if _header(fh).split(",")[:3] != ["t", "node", "probability"]:
-                return None
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty body is not writer order
-                rows = np.loadtxt(
-                    fh, _CSV_ROW, delimiter=",", comments="#", usecols=(0, 1, 2), ndmin=1
-                )
-        n = rows["node"][-1] + 1 if rows.size else 0.0
-        if not (1 <= n <= rows.size and n == int(n) and rows.size % n == 0):
-            return None
-        n = int(n)
-        text = rows["t"].reshape(-1, n)
-        spelled = text[:, 0]
-        if not (
-            (rows["node"].reshape(-1, n) == np.arange(n)).all()
-            and (text == spelled[:, None]).all()
-            and np.char.str_len(spelled).max() < _TIME_FIELD
-        ):
-            return None
-        times = spelled.astype(float)
-    except ValueError:
-        return None
-    if np.unique(times).size < times.size:
-        return None
-    return times, rows["p"].reshape(-1, n).copy()
-
-
 def read_walk_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back (times, probabilities) from :func:`write_walk_csv` output.
 
     Times keep their order of first appearance, cells without a row read 0,
-    and a repeated (t, node) row replaces the earlier one.  A file in writer
-    order is read in one pass; any other goes through ``_read_any_order``.
+    and a repeated (t, node) row replaces the earlier one.  The rows are
+    parsed once, from the open file; only a file that parse rejects is parsed
+    again with its whitespace-only lines dropped, and that parse's error is
+    the one reported.  Rows holding every cell once in (time, node) order are
+    the field as written; any other file places each row by its cell index.
     """
-    read = _read_writer_order(path)
-    return read if read is not None else _read_any_order(path)
-
-
-def _read_any_order(path) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`read_walk_csv` for rows in any order, placing each row by its (time, node)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = (line for line in fh if not line.isspace())
-        header = _header(lines)
+    with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+        header = _header(fh)
         if header and header.split(",")[:3] != ["t", "node", "probability"]:
             raise ValueError(f"{path}: unexpected CSV header {header!r}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+        try:
+            rows = np.loadtxt(fh, **_LOADTXT)
+        except ValueError:
+            fh.seek(0)
+            lines = (line for line in fh if not line.isspace())
+            _header(lines)
             try:
-                rows = np.loadtxt(
-                    lines, _CSV_ROW, delimiter=",", comments="#", usecols=(0, 1, 2), ndmin=1
-                )
+                rows = np.loadtxt(lines, **_LOADTXT)
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed data row ({exc})") from None
     if not rows.size:
         raise ValueError(f"{path}: no data rows")
-    t, node, prob = _parse_times(rows["t"]), rows["node"], rows["p"]
-    if not np.all((node >= 0) & (node <= 2**53) & (node == np.floor(node))):
+    text, node = rows["t"], rows["node"]
+    # reported after the time check, but run first so its per-row scratch is freed early
+    whole = node == np.floor(node)
+    whole &= node >= 0
+    whole &= node <= 2**53
+    whole = whole.all()
+    heads = np.flatnonzero(np.r_[True, text[1:] != text[:-1]])
+    if np.char.str_len(text[heads]).max() >= _TIME_FIELD:
+        raise ValueError(f"time fields must be shorter than {_TIME_FIELD} characters")
+    if not whole:
         raise ValueError(f"{path}: node fields must be non-negative integers")
-    _, first, inverse = np.unique(t, return_index=True, return_inverse=True)
+    values = text[heads].astype(float)
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    probs = np.zeros((first.size, int(node.max()) + 1))
-    cells = np.argsort(order)[inverse] * probs.shape[1] + node.astype(np.intp)
-    # np.unique on the reversed cells finds each cell's last row
-    last = cells.size - 1 - np.unique(cells[::-1], return_index=True)[1]
-    probs.flat[cells[last]] = prob[last]
-    return t[first[order]], probs
+    times = values[first[order]]
+    width = int(node.max()) + 1
+    # writer order: each run is a distinct time, its nodes rise, and every cell has a row
+    rising = node[1:] > node[:-1]
+    rising[heads[1:] - 1] = True
+    in_order = heads.size == times.size and rows.size == times.size * width and rising.all()
+    del rising
+    if in_order:
+        return times, rows["p"].reshape(-1, width).copy()
+    # each run's row of the field, times ranked by first appearance
+    run_row = np.argsort(order)[inverse]
+    lengths = np.diff(np.r_[heads, rows.size])
+    # a shuffled file has as many runs as rows: free them before the per-row cells
+    del heads, values, first, inverse, order
+    probs = np.zeros((times.size, width))
+    cells = np.repeat(run_row * width, lengths)
+    del run_row, lengths
+    # whole nodes and cell indices below the field's size: the float sum is exact
+    np.add(cells, node, out=cells, casting="unsafe")
+    prob = rows["p"]
+    if not np.all(cells[1:] > cells[:-1]):
+        # np.unique on the reversed cells finds each cell's last row
+        last = cells.size - 1 - np.unique(cells[::-1], return_index=True)[1]
+        cells, prob = cells[last], prob[last]
+    probs.flat[cells] = prob
+    return times, probs

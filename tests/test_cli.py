@@ -690,6 +690,28 @@ def test_render_round_trip(tmp_path):
     assert any(l.startswith("# scale: log") for l in lines)
 
 
+def test_simulate_rejects_repeated_grid_times(tmp_path, capsys):
+    # render reads equal times back as one row, so such a grid would not round-trip
+    cfg = simulate_cfg(
+        time_grid={"start": 1, "end": 1, "steps": 3}, output={"csv": "walk.csv", "heatmap": "walk.pgm"}
+    )
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(out_dir)]) == 1
+    assert "rise strictly" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_render_out_of_memory_exits_one(tmp_path, capsys):
+    # node 2**53 asks for a field of 2**53 + 1 columns (64 PiB), which no allocator grants
+    csv = tmp_path / "huge.csv"
+    csv.write_text("t,node,probability\n0,0,1\n0,9007199254740992,0\n")
+    out = tmp_path / "huge.pgm"
+    assert main(["render", "--csv", str(csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_render_rejects_unknown_scale(tmp_path):
     cfg = simulate_cfg(output={"csv": "walk.csv"})
     main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])

@@ -51,6 +51,17 @@ def test_time_grid_contract():
             TimeGrid(*bad)
 
 
+def test_time_grid_points_rise_strictly():
+    # equal endpoints or a span below the points' spacing would repeat a time, and
+    # a walk CSV merges equal times, so only a one-step grid may have t_start == t_end
+    for bad in ((1.0, 1.0, 3), (1.0, np.nextafter(1.0, 2.0), 3)):
+        with pytest.raises(ValueError, match="rise strictly"):
+            TimeGrid(*bad)
+    for t in (0.0, 1.0, 3.1):
+        assert TimeGrid(t, t, 1).times().tolist() == [t]
+    assert TimeGrid(1.0, np.nextafter(1.0, 2.0), 2).times().tolist() == [1.0, np.nextafter(1.0, 2.0)]
+
+
 def test_state_builders():
     psi = localized_state(4, 2)
     assert np.array_equal(psi, [0, 0, 1, 0])
