@@ -8,7 +8,6 @@ edges); an undirected edge is represented by the pair of directed edges
 from __future__ import annotations
 
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -177,29 +176,36 @@ class Bipartition:
     odd: tuple[int, ...]
 
 
-def weakly_connected_components(g: DirectedGraph) -> list[list[int]]:
-    """Connected components of the underlying undirected graph, each sorted."""
-    neighbors: list[set[int]] = [set() for _ in range(g.n)]
+def _sides(g: DirectedGraph) -> tuple[list[int], list[int], bool]:
+    """One search of the underlying undirected graph: each node's component root (its
+    lowest node) and side (0 at the root, flipped at every step), and whether every edge
+    joins the two sides, i.e. whether the graph is bipartite."""
+    neighbors: list[list[int]] = [[] for _ in range(g.n)]
     for i, j in g.edges:
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-    seen = [False] * g.n
-    components = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = []
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    root = [-1] * g.n
+    side = [0] * g.n
+    # filtered lazily: nodes an earlier search reached are skipped, so roots are component minima
+    for r in (v for v in range(g.n) if root[v] == -1):
+        root[r] = r
+        stack = [r]
+        while stack:
+            v = stack.pop()
             for w in neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        components.append(sorted(comp))
-    return components
+                if root[w] == -1:
+                    root[w] = r
+                    side[w] = 1 - side[v]
+                    stack.append(w)
+    return root, side, all(side[i] != side[j] for i, j in g.edges)
+
+
+def weakly_connected_components(g: DirectedGraph) -> list[list[int]]:
+    """Connected components of the underlying undirected graph, each sorted, by lowest node."""
+    components: dict[int, list[int]] = {}
+    for v, r in enumerate(_sides(g)[0]):
+        components.setdefault(r, []).append(v)
+    return list(components.values())
 
 
 def bipartition(g: DirectedGraph) -> Bipartition | None:
@@ -208,26 +214,17 @@ def bipartition(g: DirectedGraph) -> Bipartition | None:
     The lowest-indexed node of every weakly-connected component lands in the
     even partition (so node 0 is always even).
     """
-    neighbors: list[set[int]] = [set() for _ in range(g.n)]
-    for i, j in g.edges:
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-    color = [-1] * g.n
-    # filtered lazily: nodes an earlier search coloured are skipped, so roots are component minima
-    for root in (v for v in range(g.n) if color[v] == -1):
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in neighbors[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    even = tuple(i for i in range(g.n) if color[i] == 0)
-    odd = tuple(i for i in range(g.n) if color[i] == 1)
-    return Bipartition(even, odd)
+    _, side, bipartite = _sides(g)
+    if not bipartite:
+        return None
+    return Bipartition(*(tuple(i for i, s in enumerate(side) if s == k) for k in (0, 1)))
+
+
+def one_sided(g: DirectedGraph, support) -> bool:
+    """Whether g is bipartite with the nodes ``support`` on one side of each component."""
+    root, side, bipartite = _sides(g)
+    first: dict[int, int] = {}  # each component's side, set by its first node in the support
+    return bipartite and all(first.setdefault(root[i], side[i]) == side[i] for i in support)
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:

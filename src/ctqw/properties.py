@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CirculantSpec, DirectedGraph, bipartition
+from .graphs import CirculantSpec, DirectedGraph, bipartition, one_sided
 from .operators import TIME_CHUNK, CouplingSeries, _real_number, _whole_number
 from .walk import (
     DEFAULT_TIME_GRID,
@@ -122,17 +122,15 @@ def check_transport_suppression(
 
 
 def _half_pi_eligible(graph_or_spec, psi: np.ndarray) -> bool:
-    """Whether the graph, with one more node joined to all of psi's support, is bipartite.
+    """Whether the graph is bipartite with psi on one side of each weakly connected component.
 
-    Equivalently, the graph is bipartite and psi lies on one side of each weakly connected
-    component.  A circulant spec's graph is that of its nonzero offsets.
+    A circulant spec's graph is that of its nonzero offsets.
     """
     spec = isinstance(graph_or_spec, CirculantSpec)
     if spec and graph_or_spec.coefficients[0] != 0.0:  # a self-loop on every node
         return False
     graph = graph_or_spec.support_graph() if spec else _graph_of(graph_or_spec)
-    support = {(graph.n, int(i)) for i in np.flatnonzero(psi)}
-    return bipartition(DirectedGraph(graph.n + 1, graph.edges | support)) is not None
+    return one_sided(graph, np.flatnonzero(psi).tolist())
 
 
 def check_mirror_symmetries(

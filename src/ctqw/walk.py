@@ -54,6 +54,8 @@ class TimeGrid:
         steps = _whole_number(self.steps, "steps")
         if t_end < t_start:
             raise ValueError("time grid must have t_end >= t_start")
+        if not np.isfinite(t_end - t_start):
+            raise ValueError(f"time grid span t_end - t_start = {t_end - t_start} is not finite")
         if steps < 1:
             raise ValueError("time grid needs at least one step")
         object.__setattr__(self, "t_start", t_start)

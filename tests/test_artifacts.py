@@ -5,6 +5,7 @@ codecs must write the same bytes and read back the same arrays.
 """
 
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,27 @@ def test_reader_round_trips_written_walks(tmp_path):
             times, probs = assert_reads_like_loop_reader(path)
             assert np.array_equal(times, result.times)
             assert np.array_equal(probs, result.probabilities)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_reader_reads_a_walk_from_a_pipe(tmp_path):
+    # a pipe is read once, from its one handle, so no row before the first parse is lost;
+    # the file is larger than one read-ahead block of the header scan
+    result = random_walk(70, 13)
+    path = tmp_path / "walk.csv"
+    write_walk_csv(result, path, header_lines=["alpha: 0.5"])
+    data = path.read_bytes()
+    assert len(data) > 4 * 8192
+    r, w = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(w, data), os.close(w)))
+    writer.start()
+    try:
+        times, probs = read_walk_csv(f"/dev/fd/{r}")
+    finally:
+        writer.join()
+        os.close(r)
+    assert np.array_equal(times, result.times)
+    assert np.array_equal(probs, result.probabilities)
 
 
 def loadtxt_calls(monkeypatch, path):

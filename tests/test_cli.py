@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,9 +154,10 @@ def test_non_finite_coupling_exits_three(tmp_path, capsys):
                        coupling={"kind": "exp"}, output={"csv": "never.csv"})
     for missing in ((), ((0, 1),)):
         graph_path.write_text(f"n {n}\n" + _complete_edges(n, missing))
-        with pytest.warns(RuntimeWarning) as warned:  # numpy's own overflow and NaN warnings
+        with warnings.catch_warnings(record=True) as warned:  # the failure is reported once
+            warnings.simplefilter("always")
             code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
-        assert any("overflow" in str(w.message) for w in warned)
+        assert not [w for w in warned if issubclass(w.category, RuntimeWarning)]
         assert code == 3
         assert "numeric failure: operator has non-finite entries" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
@@ -166,8 +168,10 @@ def test_non_finite_coupling_exits_three(tmp_path, capsys):
     cfg.update(alphas=[1], coupling={"kind": "polynomial", "coefficients": [0, 1e308]})
     for missing in ((), ((0, 1),)):
         graph_path.write_text("n 4\n" + _complete_edges(4, missing))
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
             code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
+        assert not [w for w in warned if issubclass(w.category, RuntimeWarning)]
         assert code == 3
         assert "numeric failure: operator has non-finite entries" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
@@ -328,6 +332,37 @@ def test_verify_default_suppression_suite(tmp_path, capsys):
         assert label in out
     report = (tmp_path / "report.csv").read_text()
     assert report.count(",pass") == 3
+
+
+@pytest.mark.parametrize(
+    "cfg, code, message",
+    [
+        # exp of the Fourier spectrum 4000 overflows
+        (simulate_cfg(graph={"family": "circulant", "coefficients": [0, 1000, 0, 1000]}, alphas=0),
+         3, "numeric failure: operator has non-finite entries"),
+        # the Horner product of 1e308 A_H with itself overflows on the dense route
+        (simulate_cfg(graph={"family": "star", "size": 3}, alphas=0,
+                      coupling={"kind": "polynomial", "coefficients": [0, 1e308, 1e308]}),
+         3, "numeric failure: operator has non-finite entries"),
+        # H is finite, but t * values overflows in the phases the walk is propagated by
+        (simulate_cfg(graph={"family": "star", "size": 3}, alphas=0.3,
+                      time_grid={"start": 0.0, "end": 100.0, "steps": 3},
+                      coupling={"kind": "polynomial", "coefficients": [0, 1e307]}),
+         3, "numeric failure: probability rows deviate from 1 by nan (> 1e-10)"),
+        (simulate_cfg(time_grid={"start": -1e308, "end": 1e308, "steps": 3}),
+         1, "error: time_grid: time grid span t_end - t_start = inf is not finite"),
+    ],
+    ids=["fourier-overflow", "dense-overflow", "phase-overflow", "span-overflow"],
+)
+def test_overflows_exit_with_one_line_under_error_warnings(tmp_path, cfg, code, message):
+    # -W error::RuntimeWarning turns any numpy warning left on the way into a traceback
+    src = str(Path(ctqw.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "ctqw", "simulate"]
+    argv += ["--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (code, message + "\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):

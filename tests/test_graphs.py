@@ -148,6 +148,17 @@ def test_bipartition_disconnected_anchors_each_component():
     assert parts.odd == (1, 3)
 
 
+def reachability_components(g):
+    """Components from reachability, by repeated boolean products of I + A + A^T."""
+    a = g.adjacency().astype(bool)
+    step = a | a.T | np.eye(g.n, dtype=bool)
+    reach = step
+    while not np.array_equal(grown := reach @ step, reach):
+        reach = grown
+    # each component is listed once, from its lowest node, which no lower node reaches
+    return [np.flatnonzero(reach[v]).tolist() for v in range(g.n) if not reach[v, :v].any()]
+
+
 def components_bipartition(g):
     """Two-colouring found component by component, the lowest node of each even."""
     neighbors = [set() for _ in range(g.n)]
@@ -155,7 +166,7 @@ def components_bipartition(g):
         neighbors[i].add(j)
         neighbors[j].add(i)
     color = [-1] * g.n
-    for comp in weakly_connected_components(g):
+    for comp in reachability_components(g):
         color[comp[0]] = 0
         frontier = [comp[0]]
         while frontier:
@@ -169,20 +180,33 @@ def components_bipartition(g):
     return tuple(np.flatnonzero(np.array(color) == 0)), tuple(np.flatnonzero(np.array(color) == 1))
 
 
-def test_bipartition_matches_the_per_component_colouring():
-    # sparse draws, so many graphs have several components and many are bipartite
-    rng = np.random.default_rng(1606)
-    seen = set()
-    for _ in range(400):
+def sparse_digraphs(seed, count):
+    """Seeded sparse digraphs on 1..12 nodes: many have several components, many are bipartite."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         n = int(rng.integers(1, 13))
         present = (rng.random((n, n)) < rng.uniform(0.05, 0.3)) & ~np.eye(n, dtype=bool)
-        g = DirectedGraph(n, frozenset(zip(*(idx.tolist() for idx in np.nonzero(present)))))
+        yield DirectedGraph(n, frozenset(zip(*(idx.tolist() for idx in np.nonzero(present)))))
+
+
+def test_components_match_reachability():
+    sizes = set()
+    for g in sparse_digraphs(1811, 400):
+        comps = weakly_connected_components(g)
+        assert comps == reachability_components(g)
+        sizes.add(min(len(comps), 3))
+    assert sizes == {1, 2, 3}
+
+
+def test_bipartition_matches_the_per_component_colouring():
+    seen = set()
+    for g in sparse_digraphs(1606, 400):
         parts = bipartition(g)
         expected = components_bipartition(g)
         assert (parts is None) == (expected is None)
         if parts is not None:
             assert (parts.even, parts.odd) == expected
-        seen.add((parts is not None, len(weakly_connected_components(g)) > 1))
+        seen.add((parts is not None, len(reachability_components(g)) > 1))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 

@@ -142,6 +142,33 @@ def test_half_pi_eligibility_keeps_every_circulant_case(n):
                 assert eligible, (spec, psi)
 
 
+def test_half_pi_eligibility_on_every_support_of_disconnected_digraphs():
+    # Reference: eligible iff some 2-colouring puts psi's support on one colour per
+    # component.  Flipping whole components keeps a colouring proper, so that holds iff
+    # some proper colouring (every edge joins the colours) puts all of the support on 0.
+    rng = np.random.default_rng(2016)
+    seen = set()
+    for _ in range(40):
+        n = int(rng.integers(3, 11))
+        # edges only join nodes of one label, so two labels in use mean two components
+        label = rng.integers(0, int(rng.integers(2, 5)), size=n)
+        present = (rng.random((n, n)) < rng.uniform(0.1, 0.5)) & (label[:, None] == label)
+        np.fill_diagonal(present, False)
+        g = DirectedGraph(n, frozenset(zip(*(idx.tolist() for idx in np.nonzero(present)))))
+        codes = np.arange(2**n)
+        proper = codes[[all((c >> i ^ c >> j) & 1 for i, j in g.edges) for c in codes]]
+        parts = bipartition(g)
+        odd = sum(1 << i for i in parts.odd) if parts else 0
+        for support in range(1, 2**n):
+            psi = (support >> np.arange(n)) & 1
+            eligible = bool(((proper & support) == 0).any())
+            assert _half_pi_eligible(g, psi) == eligible, (g, support)
+            seen.add((eligible, parts is not None, bool(support & odd) and bool(support & ~odd)))
+    # a support on both sides of the bipartition is eligible when its sides lie in different
+    # components, and refused when one component holds both; non-bipartite graphs refuse all
+    assert seen == {(True, True, False), (True, True, True), (False, True, True)} | {(False,) * 3}
+
+
 NODES_0_1 = np.array([1, 1, 0, 0, 0, 0]) / math.sqrt(2)
 
 

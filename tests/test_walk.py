@@ -62,6 +62,15 @@ def test_time_grid_points_rise_strictly():
     assert TimeGrid(1.0, np.nextafter(1.0, 2.0), 2).times().tolist() == [1.0, np.nextafter(1.0, 2.0)]
 
 
+def test_time_grid_span_must_be_finite():
+    # -1e308 to 1e308 are finite, their span is not: the grid's own error, not numpy's
+    # overflow warnings and then "rise strictly"
+    for steps in (1, 3):
+        with pytest.raises(ValueError, match="span t_end - t_start = inf is not finite"):
+            TimeGrid(-1e308, 1e308, steps)
+    assert TimeGrid(-1e307, 1e307, 3).times().tolist() == [-1e307, 0.0, 1e307]
+
+
 def test_state_builders():
     psi = localized_state(4, 2)
     assert np.array_equal(psi, [0, 0, 1, 0])
