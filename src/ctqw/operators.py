@@ -9,9 +9,11 @@ and a real-coefficient coupling series J lifts it to the walk Hamiltonian
     H = J(A_H) + J(A_H)^T.
 
 J(A_H) is Hermitian for real series, so H = 2 Re J(A_H) is real symmetric.
-A_H, H and a short polynomial J (Horner products) are Hermitian by
-construction and only checked for finite entries; any other J is spectral,
-V J(w) V^H, and is gated like every operator a caller builds.
+A_H, H and a polynomial J of degree at most 7 are Hermitian by
+construction and only checked for finite entries.  Such a J runs one Horner
+loop, P <- P A_H + c_k I: on the walks of A_H while they number at most the
+N^2 entries of P, summed into P once, then by dense products.  Any other J
+is spectral, V J(w) V^H, and is gated like every operator a caller builds.
 
 An undirected graph (A = A^T) has the real A_H = cos(alpha) S with
 S = A + A^T = V diag(l) V^T, so H = V diag(2 J(cos(alpha) l)) V^T for every
@@ -370,95 +372,83 @@ def hermitian_eigendecomposition(op: HermitianOperator) -> EigenSystem:
     return EigenSystem(w, v)
 
 
-# Highest polynomial degree d evaluated by Horner products.  A degree-d
-# polynomial costs d - 1 complex N x N products; one complex eigensolve plus
-# V J(w) V^H costs about 9 of them at N = 500, so the bound of 7 is conservative.
+# Highest polynomial degree d evaluated by the Horner loop.  A degree-d
+# polynomial costs at most d - 1 complex N x N products, none while its walk
+# terms stay at most N^2; one complex eigensolve plus V J(w) V^H costs about
+# 9 of them at N = 500, so the bound of 7 is conservative.
 _HORNER_MAX_DEGREE = 7
 
 
-def _plus_identity(m: np.ndarray, c: float) -> np.ndarray:
-    m.flat[:: m.shape[0] + 1] += c
-    return m
-
-
 def _hermitian_horner(coefficients, x: np.ndarray) -> np.ndarray:
-    """sum_k c_k X^k for an exactly Hermitian X, by Horner's rule.
-
-    Every partial sum P is a polynomial in X, so P X is Hermitian up to
-    rounding; each step keeps its Hermitian part and adds c_k I, so the
-    result is exactly Hermitian, after d - 1 products, and needs no gate.
-    A sparse X takes ``_walk_sum`` instead while that stays the cheaper.
-    """
-    c = coefficients
-    d = len(c) - 1
-    if d == 0:
-        return _plus_identity(np.zeros_like(x), c[0])
-    walks = _walk_sum(c, x) if d > 1 else None
-    if walks is not None:
-        return walks
-    p = _plus_identity(c[d] * x, c[d - 1])
-    for k in range(d - 2, -1, -1):
-        p = _plus_identity(_hermitize(p @ x), c[k])
-    return p
-
-
-def _walk_sum(coefficients, x: np.ndarray):
-    """Horner's rule for sum_k c_k X^k on the walks of X's nonzero pattern.
+    """sum_k c_k X^k for an exactly Hermitian X, by Horner's rule P <- P X + c_k I.
 
     A term (i, j, v) of P is a walk i -> j weighted by X's entries along it
-    and one coefficient: each step P X + c_k I extends every term by each
-    nonzero of X in row j and adds the N terms of c_k I.  The terms are only
-    summed into the N x N result at the end, whose Hermitian part is
-    returned, so it is exactly Hermitian.  A step whose terms would outnumber
-    the N^2 entries of the result returns None, and the dense products run:
-    below that count the terms cost a few passes over N^2 cells, against
-    N^3 multiply-adds per dense product.
+    and one coefficient.  P starts as the terms of c_d X + c_{d-1} I (of
+    c_0 I for a constant), and each step extends every term by each nonzero
+    of X in row j and adds the N terms of c_k I, while the terms number at
+    most the N^2 entries of P: below that count they cost a few passes over
+    N^2 cells, against N^3 multiply-adds per dense product.  Once they would
+    number more, or after the last step, they are summed into P once, and
+    the remaining steps are dense products.  Every partial sum is a
+    polynomial in X, so P X is Hermitian up to rounding; the sum and each
+    product keep their Hermitian part, so the result is exactly Hermitian
+    and needs no gate.
     """
     c = coefficients
-    d = len(c) - 1
     n = len(x)
-    # X is Hermitian, so its pattern is symmetric: row j and column j hold degree[j] nonzeros
-    degree = np.count_nonzero(x, axis=1)
-    if degree @ (degree + 1) + n > n * n:
-        return None
     rows, cols = np.nonzero(x)  # row-major, so the nonzeros of each row are one run
     values = x[rows, cols]
-    starts = np.searchsorted(rows, np.arange(n))
+    # X is Hermitian, so its pattern is symmetric: row j and column j hold degree[j] nonzeros
+    degree = np.bincount(rows, minlength=n)
     nodes = np.arange(n)
-    # the terms of P = c_d X + c_{d-1} I
-    i, j = np.concatenate([rows, nodes]), np.concatenate([cols, nodes])
-    v = np.concatenate([c[d] * values, np.full(n, c[d - 1], dtype=x.dtype)])
-    for k in range(d - 2, -1, -1):
+    starts = np.searchsorted(rows, nodes)
+    d = len(c) - 1
+    # the terms of c_d X + c_{d-1} I, or of c_0 I for a constant: c_k is the last one added
+    k = max(d - 1, 0)
+    i, j, v = nodes, nodes, np.full(n, c[k], dtype=x.dtype)
+    if d:
+        i, j = np.concatenate([rows, nodes]), np.concatenate([cols, nodes])
+        v = np.concatenate([c[d] * values, v])
+    while k > 0:
         counts = degree[j]
         total = int(counts.sum())
         if total + n > n * n:
-            return None
+            break
+        k -= 1
         # index into (cols, values) of each extension: term t's run starts at starts[j[t]]
         at = np.arange(total) + np.repeat(starts[j] - (np.cumsum(counts) - counts), counts)
         i = np.concatenate([np.repeat(i, counts), nodes])
         j = np.concatenate([cols[at], nodes])
         v = np.concatenate([np.repeat(v, counts) * values[at], np.full(n, c[k], dtype=x.dtype)])
     key = i * n + j
-    summed = np.empty(n * n, dtype=x.dtype)
-    summed.real = np.bincount(key, v.real, n * n)
-    if np.iscomplexobj(summed):
-        summed.imag = np.bincount(key, v.imag, n * n)
-    return _hermitize(summed.reshape(n, n))
+    p = np.empty(n * n, dtype=x.dtype)
+    p.real = np.bincount(key, v.real, n * n)
+    if np.iscomplexobj(p):
+        p.imag = np.bincount(key, v.imag, n * n)
+    p = _hermitize(p.reshape(n, n))
+    for k in range(k - 1, -1, -1):
+        p = _hermitize(p @ x)
+        p.flat[:: n + 1] += c[k]
+    return p
 
 
 def apply_coupling(series: CouplingSeries, op: HermitianOperator) -> HermitianOperator:
     """Evaluate J(M) for a Hermitian M.
 
-    The identity series returns its input unchanged, and a polynomial of
-    degree at most 7 is evaluated by Hermitian Horner products, or for a
-    sparse M by Horner's rule over its walks (``_walk_sum``).  Every other
-    series is applied spectrally: V J(w) V^H from the eigensystem of M.
-    Only that spectral result, Hermitian up to rounding, is gated.
+    The identity series returns its input unchanged.  A polynomial whose
+    degree, the index of its last nonzero coefficient, is at most 7 runs one
+    Horner loop (``_hermitian_horner``) with its trailing zeros dropped: on
+    M's walks while they number at most the N^2 entries of the result, then
+    by dense products.  Every other series is
+    applied spectrally: V J(w) V^H from the eigensystem of M.  Only that
+    spectral result, Hermitian up to rounding, is gated.
     """
     if series.kind == "identity":
         return op
-    if series.kind == "polynomial" and len(series.coefficients) <= _HORNER_MAX_DEGREE + 1:
-        return HermitianOperator._by_construction(_hermitian_horner(series.coefficients, op.matrix))
+    c = series.coefficients
+    degree = max((k for k, ck in enumerate(c) if ck), default=0)
+    if series.kind == "polynomial" and degree <= _HORNER_MAX_DEGREE:
+        return HermitianOperator._by_construction(_hermitian_horner(c[: degree + 1], op.matrix))
     es = hermitian_eigendecomposition(op)
     f = series.scalar(es.values)
     m = (es.vectors * f) @ es.vectors.conj().T

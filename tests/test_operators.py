@@ -27,7 +27,8 @@ from ctqw import (
     random_polynomial_series,
     run_walk,
 )
-from ctqw.operators import _hermitian_horner, _hermitian_part, _walk_sum
+from ctqw import operators
+from ctqw.operators import _hermitian_horner, _hermitian_part
 
 
 def test_parse_phase_tokens():
@@ -390,18 +391,22 @@ def test_horner_low_degrees_need_no_product():
     assert np.array_equal(linear, -2.0 * op.matrix + 0.7 * np.eye(5))
 
 
-@pytest.mark.parametrize("degree", [2, 3])
-def test_walk_sum_is_exactly_hermitian_within_a_priori_bound(degree):
-    # A_H of a 200-node digraph of out-degree 2, as in walk-mix: its walk terms stay few
-    n = 200
-    rng = np.random.default_rng(degree)
+def _out_degree_2_adjacency(rng, n=200):
+    """A_H at alpha 0.7 of an n-node digraph of out-degree 2, as in walk-mix."""
     heads = [rng.choice(np.delete(np.arange(n), i), 2, replace=False) for i in range(n)]
     graph = DirectedGraph(n, frozenset((i, int(j)) for i in range(n) for j in heads[i]))
-    x = hermitian_adjacency(graph, 0.7).matrix
+    return hermitian_adjacency(graph, 0.7).matrix
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_walk_sum_is_exactly_hermitian_within_a_priori_bound(degree):
+    # the walk terms of out-degree 2 stay few, so the Horner loop sums them and runs no product
+    n = 200
+    rng = np.random.default_rng(degree)
+    x = _out_degree_2_adjacency(rng, n)
     coefficients = rng.uniform(-1, 1, degree + 1)
-    walks = _walk_sum(coefficients, x)
-    assert walks is not None and np.array_equal(walks, walks.conj().T)
-    assert np.array_equal(_hermitian_horner(coefficients, x), walks)
+    walks = _hermitian_horner(coefficients, x)
+    assert np.array_equal(walks, walks.conj().T)
     # A term is a product of at most d + 1 factors, one coefficient and at most d
     # entries of X; an entry of the result sums fewer than n^2 terms, and the
     # Hermitian part costs one more rounding.  Each term of entry (i, j) is at
@@ -414,21 +419,148 @@ def test_walk_sum_is_exactly_hermitian_within_a_priori_bound(degree):
     assert float(np.max(np.abs(walks - _clongdouble_polynomial(coefficients, x)))) <= bound
 
 
-def test_walk_sum_declines_once_terms_outnumber_the_entries():
-    # the directed 20-ring's A_H has 2 nonzeros a row: P's terms go 60, 140, 300, 620, ...
-    # against the 400 entries of the result, so a cubic is summed by walks and a sextic is not
-    x = hermitian_adjacency(build_ring(20), 0.4).matrix
+def _horner_loop_bound(coefficients, x):
+    """An a-priori bound on max|fl(p(X)) - p(X)| for the Horner loop, however it splits.
+
+    A walk term is c_k times at most d entries of X: c_d X rounds each part
+    once, and every later complex factor costs at most sqrt(2) gamma_2 <=
+    gamma_3 (Higham, Accuracy and Stability, 3.5), so a term is within
+    gamma_3d.  The terms are summed at most N^2 + N to an entry, its real
+    and imaginary part each within gamma_K of their sum of moduli, so the
+    entry within sqrt(2) gamma_K <= gamma_2K, K = N^2 + N; its Hermitian
+    part costs one rounding.  Each dense step costs 3N + 2, as in
+    ``test_horner_cancelling_polynomial_within_a_priori_bound``.  A walk
+    passes at most all of these, and its terms of entry (i, j) are at most
+    sum_k |c_k| (|X|^k)_ij <= sum_k |c_k| ||X||_inf^k.
+    """
+    n, d = len(x), len(coefficients) - 1
+    u = np.finfo(float).eps / 2
+    m = 3 * d + 2 * (n * n + n) + 1 + max(d - 1, 0) * (3 * n + 2)
+    norm = float(np.abs(x).sum(axis=1).max())
+    return m * u / (1 - m * u) * sum(abs(c) * norm**k for k, c in enumerate(coefficients))
+
+
+def _count_hermitize(monkeypatch):
+    """Calls of ``_hermitize``: the Horner loop makes one for its summed terms, one per product."""
+    calls = []
+    hermitize = operators._hermitize
+
+    def counting_hermitize(m):
+        calls.append(m.shape)
+        return hermitize(m)
+
+    monkeypatch.setattr(operators, "_hermitize", counting_hermitize)
+    return calls
+
+
+def test_horner_loop_densifies_in_place(monkeypatch):
+    hermitized = _count_hermitize(monkeypatch)
     cubic, sextic = [0.3, -1.0, 0.5, 0.25], [0.3, -1.0, 0.5, 0.25, 0.1, -0.2, 0.05]
-    assert _walk_sum(cubic, x) is not None
-    assert _walk_sum(sextic, x) is None
-    oracle = _clongdouble_polynomial(sextic, x)
-    assert np.max(np.abs(_hermitian_horner(sextic, x) - oracle)) < 1e-12
-    # a dense operator is declined before any term is built
-    assert _walk_sum(cubic, _random_hermitian(np.random.default_rng(9), 8)) is None
-    # a real operator gives a real sum
-    real = _walk_sum(cubic, x.real)
-    assert real.dtype == np.float64 and np.array_equal(real, real.T)
-    assert np.max(np.abs(real - _clongdouble_polynomial(cubic, x.real))) < 1e-12
+    cases = [
+        # walk-mix's kind of A_H: the terms stay below N^2 to the end
+        (_out_degree_2_adjacency(np.random.default_rng(4)), cubic, 0),
+        # the directed 20-ring's A_H has 2 nonzeros a row: the terms go 60, 140, 300,
+        # then 620 would pass the 400 entries, so the last three of five steps are products
+        (hermitian_adjacency(build_ring(20), 0.4).matrix, sextic, 3),
+        # a dense operator's terms would pass N^2 at the first step
+        (_random_hermitian(np.random.default_rng(9), 8), sextic, 5),
+        # a real operator gives a real sum
+        (hermitian_adjacency(build_ring(20), 0.4).matrix.real, cubic, 0),
+    ]
+    for x, coefficients, products in cases:
+        hermitized.clear()
+        p = _hermitian_horner(coefficients, x)
+        assert len(hermitized) == 1 + products
+        assert p.dtype == x.dtype and np.array_equal(p, p.conj().T)
+        error = float(np.max(np.abs(p - _clongdouble_polynomial(coefficients, x))))
+        assert error <= _horner_loop_bound(coefficients, x)
+
+
+def test_horner_routes_a_polynomial_by_its_degree():
+    # the cubic padded with zeros to 9 coefficients is the same cubic: it takes the
+    # Horner loop, not the spectral route, whose J misses the Hermiticity gate here
+    n = 200
+    tournament = DirectedGraph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+    cubic = (0.0, 1.0, 0.5, 1.0 / 6.0)
+    h = assemble_hamiltonian(tournament, 0.3, CouplingSeries.polynomial(cubic)).matrix
+    padded = assemble_hamiltonian(tournament, 0.3, CouplingSeries.polynomial(cubic + (0.0,) * 5))
+    assert padded.matrix.tobytes() == h.tobytes()
+    # all-zero coefficients keep one, the zero polynomial
+    x = hermitian_adjacency(tournament, 0.3)
+    assert not apply_coupling(CouplingSeries.polynomial([0.0] * 9), x).matrix.any()
+
+
+def _oriented_graph(rng, n, out_degree):
+    """Up to ``out_degree`` out-edges per node, none of them the reverse of another."""
+    edges = set()
+    for i in range(n):
+        for j in rng.choice(n - 1, size=int(rng.integers(0, out_degree + 1)), replace=False):
+            j = int(j) + (j >= i)
+            if (j, i) not in edges:
+                edges.add((i, j))
+    return DirectedGraph(n, frozenset(edges))
+
+
+def test_polynomial_walks_match_their_undirected_counterpart(monkeypatch):
+    # G is oriented, so A_H(0) = A + A^T = A_U, the adjacency of U, G with every edge
+    # made two-way; U's A_H(beta) = 2 cos(beta) A_U is A_U at beta = pi/3.  Both walk
+    # under H = 2 J(A_U): G by the Horner loop and a real eigensolve of H, U by one
+    # real eigensolve of S = 2 A_U.  The two routes share no arithmetic.
+    hermitized = _count_hermitize(monkeypatch)
+    grid = TimeGrid(0.0, 25.0, 500)
+    cubic = CouplingSeries.polynomial((0.0, 1.0, 0.5, 1.0 / 6.0))
+    u = np.finfo(float).eps / 2
+
+    def gamma(m):
+        return m * u / (1 - m * u)
+
+    switched = 0
+    for k in range(12):
+        rng = np.random.default_rng((2316, k))
+        n = int(rng.integers(8, 65))
+        g = _oriented_graph(rng, n, 2)
+        undirected = DirectedGraph(n, g.edges | {(j, i) for i, j in g.edges})
+        a = g.adjacency()
+        rho = float((a + a.T).sum(axis=1).max())  # ||A_U||_inf >= ||A_U||_2
+        for series in (cubic, random_polynomial_series(rng, 7)):
+            c = series.coefficients
+            d = len(c) - 1
+            start = int(rng.integers(n))
+            hermitized.clear()
+            p_g = run_walk(g, 0.0, series, start, grid).probabilities
+            switched += 0 < len(hermitized) - 1 < d - 1
+            p_u = run_walk(undirected, math.pi / 3, series, start, grid).probabilities
+            # First order in u.  |J(x)| <= jbar and |J'(x)| <= djbar for |x| <= rho, and
+            # ||H|| <= 2 jbar.  A real symmetric eigensolve is backward stable: its
+            # eigenvectors are orthonormal to within q u and they diagonalize M + E with
+            # ||E||_2 <= q u ||M||_2, q = n^2 covering Householder tridiagonalization's
+            # worst case (LAPACK Users' Guide, 4.7).
+            jbar = sum(abs(ck) * rho**i for i, ck in enumerate(c))
+            djbar = sum(i * abs(ck) * rho ** (i - 1) for i, ck in enumerate(c) if i)
+            q = n * n
+            # G: the Horner loop is entrywise within gamma_M sum |c_k| (A_U^k)_ij
+            # (_horner_loop_bound), a nonnegative matrix of 2-norm <= jbar, and H
+            # doubles it; then the eigensolve of H.
+            m = 3 * d + 2 * (n * n + n) + 1 + max(d - 1, 0) * (3 * n + 2)
+            dh_g = 2 * gamma(m) * jbar + q * u * 2 * jbar
+            # U: the eigensolve of S moves A_U by q u rho, so J(A_U) by djbar q u rho;
+            # an eigenvalue x = cos(beta) l of A_U is off by |l| |cos(beta) - 1/2| and
+            # one rounding, J(x) by djbar times that, and numpy's Horner polyval by
+            # gamma_2d jbar; H doubles each.
+            dc = abs(math.cos(math.pi / 3) - 0.5)
+            dh_u = 2 * (djbar * q * u * rho + djbar * (2 * dc + u) * rho + gamma(2 * d) * jbar)
+            # An amplitude moves by t_end ||dH|| for the perturbed H, by 2 u t_end ||H||
+            # for the rounded phase arguments w t, by 2 q u for the two eigenvector
+            # factors, and by gamma_{2n+24} for the products: a basis start state,
+            # at most 8 complex factors per phase, and inner products of length n.
+            e = sum(
+                grid.t_end * (dh + 2 * u * 2 * jbar) + 2 * q * u + gamma(2 * n + 24)
+                for dh in (dh_g, dh_u)
+            )
+            # |P_G - P_U| = ||psi_G|^2 - |psi_U|^2| <= |psi_G - psi_U| (|psi_G| + |psi_U|)
+            assert float(np.max(np.abs(p_g - p_u))) <= e * (2 + e), (k, series)
+    # some walks switch from their walk terms to dense products partway through the loop
+    assert switched >= 3
 
 
 def _count_eigh(monkeypatch):
