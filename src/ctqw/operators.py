@@ -16,8 +16,9 @@ N^2 entries of P, summed into P once, then by dense products.  Any other J
 is spectral, V J(w) V^H, and is gated like every operator a caller builds.
 
 An undirected graph (A = A^T) has the real A_H = cos(alpha) S with
-S = A + A^T = V diag(l) V^T, so H = V diag(2 J(cos(alpha) l)) V^T for every
-series: one real eigensolve of S gives the whole walk, and no J is formed.
+S = A_H(0) = A + A^T = V diag(l) V^T, so H = V diag(2 J(cos(alpha) l)) V^T for
+every series: one real eigensolve of S gives the whole walk, and no J is formed.
+``_dense_amplitudes`` runs ``propagate`` in H's real eigenbasis, node-major.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     m *= 0.5
     m += m.conj().T
     return m
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^H)/2 in a new array, leaving ``m`` as it is."""
-    return _hermitize(m.copy())
 
 
 def _require_finite(values) -> None:
@@ -161,7 +157,7 @@ class HermitianOperator:
         _require_finite(defect)
         if defect > HERMITICITY_TOL:
             raise ValueError(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:g}")
-        m = _hermitian_part(m)
+        m = _hermitize(m.copy())
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -286,8 +282,8 @@ def propagate(values, phi, grid, to_nodes, visit=None, node_major=False):
     (the last batch may hold fewer).  The block is scratch, refilled by the
     next batch, and nothing is kept or returned: two blocks of at most 2^16
     complex cells (1 MiB) each, or one state's chunk when that is larger,
-    are all the scratch whatever S and N.  Without ``visit``, a stack of
-    more than one state raises ValueError.
+    are all the scratch whatever S and N, and an empty stack visits nothing.
+    Without ``visit``, anything but exactly one state raises ValueError.
 
     Blocks are time-major in memory, each (state, time) row of N entries
     together, the layout a last-axis FFT takes; a single walk's ``to_nodes``
@@ -300,8 +296,8 @@ def propagate(values, phi, grid, to_nodes, visit=None, node_major=False):
     phi = np.atleast_2d(phi)
     amps = None
     if visit is None:
-        if phi.shape[0] > 1:
-            raise ValueError(f"a stack of {phi.shape[0]} states needs visit")
+        if phi.shape[0] != 1:
+            raise ValueError(f"a stack of {len(phi)} states needs visit; give exactly one state")
         amps = np.empty((times.size, phi.shape[1]), dtype=complex)
         if node_major:  # a gemm's node-major block is copied into the C-ordered result
 
@@ -315,7 +311,8 @@ def propagate(values, phi, grid, to_nodes, visit=None, node_major=False):
     offsets = _offset_table(values, dt, min(TIME_CHUNK, times.size), node_major)
     # the states and every block are stored in the table's layout
     states = np.asfortranarray(phi) if node_major else np.ascontiguousarray(phi)
-    batch = min(len(states), max(1, _SCRATCH_CELLS // max(offsets.size, 1)))
+    # an empty stack takes batches of one and visits nothing
+    batch = max(1, min(len(states), _SCRATCH_CELLS // max(offsets.size, 1)))
     # scratch refilled per (chunk, batch): allocating and freeing a fresh MiB
     # block per batch can cost a page fault per 4 KiB
     eigen_cells = np.empty(batch * offsets.size, dtype=complex)
@@ -361,6 +358,25 @@ def _block(cells: np.ndarray, shape, node_major: bool) -> np.ndarray:
     if node_major:
         return cells[: b * rows * n].reshape(n, b, rows).transpose(1, 2, 0)
     return cells[: b * rows * n].reshape(shape)
+
+
+def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, grid, visit=None):
+    """``propagate`` with node-major blocks, mapped into and out of ``es``'s basis by real gemms."""
+    # V is real (every assembled H is float64), so it is never cast to a complex N x N copy:
+    # V^T meets the states' (re, im) column pairs in one real gemm
+    v = es.vectors
+    states = np.ascontiguousarray(np.atleast_2d(np.asarray(psi0, dtype=complex)).T)
+    phi = (v.T @ states.view(float)).view(complex).T
+
+    def columns(block):
+        # a node-major (B, rows, N) block is an (N, B, rows) array in memory, so this is a
+        # view: its (re, im) pairs as real columns, all mapped by one real gemm
+        return block.transpose(2, 0, 1).reshape(len(v), -1).view(float)
+
+    def to_nodes(block, out):
+        np.matmul(v, columns(block), out=columns(out))
+
+    return propagate(es.values, phi, grid, to_nodes, visit, node_major=True)
 
 
 def hermitian_eigendecomposition(op: HermitianOperator) -> EigenSystem:
@@ -469,16 +485,16 @@ def assemble_hamiltonian(g, alpha: float, series: CouplingSeries) -> HermitianOp
 def hamiltonian_eigensystem(g, alpha: float, series: CouplingSeries) -> EigenSystem:
     """Ascending eigensystem of the walk Hamiltonian of a directed graph.
 
-    An undirected graph (no ``g.one_way_edges``) takes one real eigensolve of S = A + A^T,
+    An undirected graph (no ``g.one_way_edges``) takes one real eigensolve of S = A_H(0),
     H = V diag(2 J(cos(alpha) l)) V^T for every alpha and series (NonFiniteOperatorError on
-    non-finite values); any other the eigensolve of ``assemble_hamiltonian``'s H, whose A_H
-    is scattered from the edge index, so no adjacency matrix is built.
+    non-finite values); any other the eigensolve of ``assemble_hamiltonian``'s H.  Both
+    scatter A_H from the edge index, so no adjacency matrix is built.
     """
     if g.one_way_edges:
         return hermitian_eigendecomposition(assemble_hamiltonian(g, alpha, series))
-    a = g.adjacency()
-    s = hermitian_eigendecomposition(HermitianOperator._by_construction(a + a.T))
-    w = 2.0 * series.scalar(np.cos(alpha) * s.values)
+    s = hermitian_adjacency(g, 0.0).matrix.real  # A + A^T bit for bit: 2 on each two-way pair
+    es = hermitian_eigendecomposition(HermitianOperator._by_construction(s))
+    w = 2.0 * series.scalar(np.cos(alpha) * es.values)
     _require_finite(w)
     order = np.argsort(w, kind="stable")
-    return EigenSystem(w[order], s.vectors[:, order])
+    return EigenSystem(w[order], es.vectors[:, order])

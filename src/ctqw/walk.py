@@ -19,11 +19,10 @@ import numpy as np
 from .graphs import CirculantSpec, DirectedGraph
 from .operators import (
     CouplingSeries,
-    EigenSystem,
+    _dense_amplitudes,
     _real_number,
     _whole_number,
     hamiltonian_eigensystem,
-    propagate,
 )
 from .spectral import circulant_amplitudes
 
@@ -138,24 +137,6 @@ class WalkResult:
     @property
     def n(self) -> int:
         return self.amplitudes.shape[1]
-
-
-def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, grid: TimeGrid, visit=None):
-    # V is real (every assembled H is float64), so it is never cast to a complex N x N copy:
-    # V^T meets the states' (re, im) column pairs in one real gemm
-    v = es.vectors
-    states = np.ascontiguousarray(np.atleast_2d(np.asarray(psi0, dtype=complex)).T)
-    phi = (v.T @ states.view(float)).view(complex).T
-
-    def columns(block):
-        # a node-major (B, rows, N) block is an (N, B, rows) array in memory, so this is a
-        # view: its (re, im) pairs as real columns, all mapped by one real gemm
-        return block.transpose(2, 0, 1).reshape(len(v), -1).view(float)
-
-    def to_nodes(block, out):
-        np.matmul(v, columns(block), out=columns(out))
-
-    return propagate(es.values, phi, grid, to_nodes, visit, node_major=True)
 
 
 def _as_state(initial, n: int) -> np.ndarray:

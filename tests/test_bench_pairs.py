@@ -151,3 +151,17 @@ def test_verdict_gain_needs_no_more_failed_ops_than_the_parent():
     summary = bench_pairs.summarize(
         pairs(PARENT, faster, failed={"parent": 1, "change": 1}), METRICS)["w"]
     assert summary["ops_per_s"]["verdict"] == "gain"
+
+
+def test_src_lines_counts_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "ctqw"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\n# note\n")
+    (package / "b.py").write_text("y = 2")  # no final newline: still one line
+    (package / "notes.txt").write_text("not\ncode\n")
+    (package / "sub").mkdir()
+    (package / "sub" / "c.py").write_text("z = 3\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("assert True\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+    assert bench_pairs.src_lines(tmp_path / "tests") == 0

@@ -532,12 +532,26 @@ def _without(cfg, key):
         ("simulate", simulate_cfg(alphas=[]), "'alphas' must not be empty"),
         ("simulate", _without(simulate_cfg(), "graph"), "missing 'graph'"),
         ("verify", {"checks": []}, "'checks' must be a nonempty list"),
+        ("simulate", simulate_cfg(coupling="exp"), "coupling: expected an object"),
+        ("simulate", simulate_cfg(time_grid=5), "time_grid: expected an object"),
+        ("simulate", simulate_cfg(output=[]), "output: expected an object"),
     ],
-    ids=["non-object-config", "missing-alphas", "empty-alphas", "missing-graph", "empty-checks"],
+    ids=[
+        "non-object-config",
+        "missing-alphas",
+        "empty-alphas",
+        "missing-graph",
+        "empty-checks",
+        "string-coupling",
+        "number-time-grid",
+        "list-output",
+    ],
 )
 def test_malformed_configs_exit_one(tmp_path, capsys, command, cfg, message):
-    assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out-dir", str(out_dir)]) == 1
     assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("report", [5, "", None])

@@ -19,6 +19,7 @@ from ctqw import (
     build_star,
     check_mirror_symmetries,
     check_transport_suppression,
+    fourier_basis,
     half_pi_spectrum_shift,
     localized_state,
     moebius_spec,
@@ -234,6 +235,9 @@ def test_edge_list_keeps_signs_and_spaces(tmp_path, text):
         (lambda tmp: check_mirror_symmetries(ring_spec(4), EXP, [], 0, GRID), "at least one delta"),
         (lambda tmp: validate_state(np.eye(2), 2), "must be a vector"),
         (lambda tmp: WalkResult("x", 0.0, [0.0, 1.0], [[1.0, 0.0]]), "matching the time grid"),
+        (lambda tmp: ring_closed_form_support(6, 0), "order must be >= 1"),
+        (lambda tmp: ring_hamiltonian_closed_form(6, 0.3, []), "at least the linear coefficient"),
+        (lambda tmp: fourier_basis(0), "needs n >= 1"),
     ],
     ids=[
         "edge-list-line",
@@ -245,6 +249,9 @@ def test_edge_list_keeps_signs_and_spaces(tmp_path, text):
         "empty-deltas",
         "matrix-state",
         "walk-result-shape",
+        "closed-form-support-order",
+        "closed-form-no-coefficients",
+        "empty-fourier-basis",
     ],
 )
 def test_malformed_library_inputs_raise_value_error(tmp_path, call, match):

@@ -28,7 +28,7 @@ from ctqw import (
     run_walk,
 )
 from ctqw import operators
-from ctqw.operators import _hermitian_horner, _hermitian_part
+from ctqw.operators import _hermitian_horner, _hermitize
 
 
 def test_parse_phase_tokens():
@@ -78,8 +78,8 @@ def test_hermitian_operator_keeps_entries_near_the_float_maximum():
     # bits of (M + M^H)/2
     rng = np.random.default_rng(9)
     m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
-    assert np.array_equal(_hermitian_part(m), (m + m.conj().T) / 2.0)
-    assert np.array_equal(_hermitian_part(m.real), (m.real + m.real.T) / 2.0)
+    assert np.array_equal(_hermitize(m.copy()), (m + m.conj().T) / 2.0)
+    assert np.array_equal(_hermitize(m.real.copy()), (m.real + m.real.T) / 2.0)
 
 
 @pytest.mark.parametrize(
@@ -122,6 +122,13 @@ def test_hermitian_adjacency_limits():
     ah = hermitian_adjacency(g, 0.7).matrix
     assert np.array_equal(hermitian_adjacency(g, -0.7).matrix, ah.conj())
     assert np.array_equal(ah, ah.conj().T)
+    # on an undirected graph A_H(0) is real and bit for bit A + A^T, 2 on each two-way
+    # pair: the S whose eigensolve serves every alpha in hamiltonian_eigensystem
+    for g in (build_ring(7, directed=False), build_star(4, directed=False)):
+        a = g.adjacency()
+        s = hermitian_adjacency(g, 0.0).matrix
+        assert np.array_equal(s.real, a + a.T) and not s.imag.any()
+        assert np.array_equal(np.unique(s.real), [0.0, 2.0])
     # the scattered entries are bit for bit the defining sum, and exactly Hermitian
     rng = np.random.default_rng(300)
     present = rng.random((300, 300)) < 0.02

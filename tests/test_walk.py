@@ -15,6 +15,7 @@ from ctqw import (
     WalkResult,
     arrival_time,
     build_ring,
+    check_bidirected_edge_cancellation,
     localized_state,
     moebius_spec,
     propagate,
@@ -297,6 +298,20 @@ def test_stack_without_visit_is_rejected(dense):
     assert np.array_equal(amplitudes(np.eye(6, dtype=complex)[2], grid), walk)
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["fourier", "dense"])
+def test_empty_stack_visits_nothing(dense):
+    spec = ring_spec(6)
+    amplitudes = propagator(spec.to_graph() if dense else spec, 0.4, CouplingSeries.exp())
+    grid = TimeGrid(0.0, 2.0, 70)  # two chunks
+    empty = np.zeros((0, 6), dtype=complex)
+    seen = []
+    assert amplitudes(empty, grid, lambda *args: seen.append(args)) is None
+    assert seen == []
+    # without visit the result holds exactly one walk, never an unfilled field
+    with pytest.raises(ValueError, match="stack of 0 states needs visit; give exactly one state"):
+        amplitudes(empty, grid)
+
+
 def test_walk_result_contract():
     grid = TimeGrid(0.0, 3.0, 40)
     res = run_walk(ring_spec(8), 0.3, CouplingSeries.exp(), 0, grid)
@@ -355,6 +370,9 @@ def test_arrival_time():
 def test_run_walk_rejects_unknown_topology():
     with pytest.raises(TypeError):
         run_walk(np.eye(3), 0.0, CouplingSeries.exp(), 0, TimeGrid(0, 1, 2))
+    # the property checks take the same two kinds of instance
+    with pytest.raises(TypeError, match="expected DirectedGraph or CirculantSpec"):
+        check_bidirected_edge_cancellation(build_ring(6), "ring", CouplingSeries.exp())
 
 
 def test_csv_round_trip(tmp_path):

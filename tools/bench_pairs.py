@@ -14,7 +14,8 @@ sides alike.  With ``--trace-seed`` each side then makes one traced run per
 workload.  The output file holds every run's JSON line, and per workload each
 side's median, quartiles (inclusive method), extremes, the number of pairs
 the change wins and a ``verdict`` on every end-to-end metric of
-``BENCHMARK.json``.  It is rewritten after every run, so an interrupted
+``BENCHMARK.json``; ``src_lines`` holds each side's line count of
+``src/ctqw/*.py``, the design metric.  It is rewritten after every run, so an interrupted
 measurement keeps what it measured.
 """
 
@@ -45,6 +46,12 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(args)} exited {done.returncode}\n{done.stderr}")
     return "python3 " + " ".join(args), json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the package's modules, ``src/ctqw/*.py``, in one checkout."""
+    modules = (checkout / "src" / "ctqw").glob("*.py")
+    return sum(len(path.read_bytes().splitlines()) for path in modules)
 
 
 def spread(values: list[float]) -> dict:
@@ -157,6 +164,7 @@ def main(argv=None) -> int:
                    f"parent runs first on {', '.join(map(str, seeds[::2][:2]))}, ..., change runs "
                    f"first on {', '.join(map(str, seeds[1::2][:2]))}, ...; one process at a time."),
         "host": host(),
+        "src_lines": {side: src_lines(path) for side, path in checkouts.items()},
         "claim": args.claim,
         "summary": {},
         "runs": [],
