@@ -14,9 +14,9 @@ sides alike.  With ``--trace-seed`` each side then makes one traced run per
 workload.  The output file holds every run's JSON line, and per workload each
 side's median, quartiles (inclusive method), extremes, the number of pairs
 the change wins and a ``verdict`` on every end-to-end metric of
-``BENCHMARK.json``; ``src_lines`` holds each side's line count of
-``src/ctqw/*.py``, the design metric.  It is rewritten after every run, so an interrupted
-measurement keeps what it measured.
+``BENCHMARK.json``.  ``src_lines`` holds each side's line count of
+``src/ctqw/*.py``, the design metric.  The file is rewritten after every
+run, so an interrupted measurement keeps what it measured.
 """
 
 from __future__ import annotations
