@@ -372,6 +372,8 @@ def _parse_check(check_cfg, grid, seed):
 
 
 def cmd_verify(args) -> int:
+    if args.seed is not None and args.seed < 0:  # it seeds np.random.default_rng
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     cfg = _load_config(args.config)
     _check_keys(cfg, {"checks", "report", "time_grid"}, "config")
     _config_string(cfg, "report", "config")

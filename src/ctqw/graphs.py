@@ -7,7 +7,6 @@ edges); an undirected edge is represented by the pair of directed edges
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -25,7 +24,7 @@ class DirectedGraph:
 
     n: int
     edges: frozenset[Edge]
-    # (2, E) tail and head indices, scattered into ``adjacency``
+    # (2, E) tail and head indices, scattered into A_H by ``operators.hermitian_adjacency``
     _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -41,9 +40,9 @@ class DirectedGraph:
         types = set(map(type, flat))
         if not all(t is int or issubclass(t, np.integer) for t in types):
             flat = [_whole_number(v, "edge endpoint") for v in flat]
-        top = min(n, sys.maxsize)  # endpoints become array indices, so none may pass intp
-        if flat and not (0 <= min(flat) and max(flat) < top):
-            raise ValueError(f"edge endpoints must lie in 0..{top - 1}, got {min(flat)}..{max(flat)}")
+        # n is index-sized (``_whole_number``), so endpoints below it fit intp
+        if flat and not (0 <= min(flat) and max(flat) < n):
+            raise ValueError(f"edge endpoints must lie in 0..{n - 1}, got {min(flat)}..{max(flat)}")
         pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
         if types - {int}:  # every endpoint is stored back as a Python int
             edges = frozenset(map(tuple, pairs.tolist()))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,9 @@ TIME_CHUNK = 64
 # Complex cells (1 MiB) of one block of stacked states in ``propagate``.
 _SCRATCH_CELLS = 2**16
 
-_SERIES_KINDS = ("polynomial", "exp", "sinh", "cosh", "identity")
+# kind -> its elementwise J; a polynomial is evaluated from its coefficients
+_SERIES_FUNCTIONS = {"exp": np.exp, "sinh": np.sinh, "cosh": np.cosh, "identity": np.copy}
+_SERIES_KINDS = ("polynomial", *_SERIES_FUNCTIONS)
 
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-])?(?P<num>\d+(\.\d+)?)?\s*\*?\s*pi\s*(/\s*(?P<den>\d+(\.\d+)?))?$"
@@ -87,9 +90,9 @@ def _real_number(value, what: str) -> float:
 
 
 def _whole_number(value, what: str) -> int:
-    """``value`` as an int: ``_real_number``'s rule and no fraction, so 2.0 and NumPy ints pass."""
-    if not _real_number(value, what).is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    """``value`` as an int: ``_real_number``'s rule, no fraction and |value| <= ``sys.maxsize``."""
+    if not _real_number(value, what).is_integer() or abs(int(value)) > sys.maxsize:
+        raise ValueError(f"{what} must be a whole number <= {sys.maxsize} in size, got {value!r}")
     return int(value)
 
 
@@ -221,13 +224,7 @@ class CouplingSeries:
         x = np.asarray(x, dtype=float)
         if self.kind == "polynomial":
             return np.polynomial.polynomial.polyval(x, self.coefficients)
-        if self.kind == "exp":
-            return np.exp(x)
-        if self.kind == "sinh":
-            return np.sinh(x)
-        if self.kind == "cosh":
-            return np.cosh(x)
-        return x.copy()
+        return _SERIES_FUNCTIONS[self.kind](x)
 
     def odd_scalar(self, x):
         """Odd part: (J(x) - J(-x))/2."""

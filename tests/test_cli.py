@@ -137,6 +137,12 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     separated_node = simulate_cfg(graph={"family": "edge-list", "path": str(graph_path)})
     assert main(["simulate", "--config", write_config(tmp_path, separated_node)]) == 1
     assert "node must be spelled with ASCII digits and no '_'" in capsys.readouterr().err
+    # np.random.default_rng takes no negative seed: a config error before any check runs
+    random_check = {"checks": [{"property": "suppression-random", "count": 1}]}
+    argv = ["verify", "--config", write_config(tmp_path, random_check), "--seed", "-1"]
+    assert main(argv) == 1
+    seed_error = "error: --seed must be a non-negative integer, got -1\n"
+    assert tuple(capsys.readouterr()) == ("", seed_error)
 
 
 def _complete_edges(n, missing=()):
@@ -351,8 +357,20 @@ def test_verify_default_suppression_suite(tmp_path, capsys):
          3, "numeric failure: probability rows deviate from 1 by nan (> 1e-10)"),
         (simulate_cfg(time_grid={"start": -1e308, "end": 1e308, "steps": 3}),
          1, "error: time_grid: time grid span t_end - t_start = inf is not finite"),
+        # counts are array lengths: one past sys.maxsize is a config error, not an IndexError
+        (simulate_cfg(time_grid={"steps": 2**63}), 1,
+         f"error: time_grid: steps must be a whole number <= {sys.maxsize} in size, got {2**63}"),
+        (simulate_cfg(graph={"family": "ring", "size": 1e30}), 1,
+         f"error: graph: ring size must be a whole number <= {sys.maxsize} in size, got 1e+30"),
     ],
-    ids=["fourier-overflow", "dense-overflow", "phase-overflow", "span-overflow"],
+    ids=[
+        "fourier-overflow",
+        "dense-overflow",
+        "phase-overflow",
+        "span-overflow",
+        "steps-overflow",
+        "size-overflow",
+    ],
 )
 def test_overflows_exit_with_one_line_under_error_warnings(tmp_path, cfg, code, message):
     # -W error::RuntimeWarning turns any numpy warning left on the way into a traceback

@@ -118,7 +118,8 @@ WHOLE_ENTRIES = {
 NUMBER_RULE_CASES = [
     *((name, call, NOT_REAL) for name, call in REAL_ENTRIES.items()),
     ("parse_phase", parse_phase, NOT_PHASE),
-    *((name, call, NOT_REAL + (1.5,)) for name, (call, _) in WHOLE_ENTRIES.items()),
+    # a whole number is also an array length or index, so none may pass sys.maxsize
+    *((name, call, NOT_REAL + (1.5, 2**63, 1e30)) for name, (call, _) in WHOLE_ENTRIES.items()),
 ]
 
 
@@ -129,8 +130,9 @@ NUMBER_RULE_CASES = [
 )
 def test_number_rule_rejects_non_numbers(call, bad_values):
     # bools, strings, None, NaN, infinities, ints beyond the float range and,
-    # where a whole number is taken, fractions all raise ValueError, never a
-    # TypeError, IndexError, OverflowError or a numeric failure
+    # where a whole number is taken, fractions and values beyond sys.maxsize all
+    # raise ValueError, never a TypeError, IndexError, OverflowError, a numeric
+    # failure or an allocation sized by the value
     for bad in bad_values:
         try:
             call(bad)

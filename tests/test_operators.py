@@ -508,25 +508,51 @@ def _oriented_graph(rng, n, out_degree):
     return DirectedGraph(n, frozenset(edges))
 
 
-def test_polynomial_walks_match_their_undirected_counterpart(monkeypatch):
-    # G is oriented, so A_H(0) = A + A^T = A_U, the adjacency of U, G with every edge
-    # made two-way; U's A_H(beta) = 2 cos(beta) A_U is A_U at beta = pi/3.  Both walk
-    # under H = 2 J(A_U): G by the Horner loop and a real eigensolve of H, U by one
-    # real eigensolve of S = 2 A_U.  The two routes share no arithmetic.
-    hermitized = _count_hermitize(monkeypatch)
-    grid = TimeGrid(0.0, 25.0, 500)
-    cubic = CouplingSeries.polynomial((0.0, 1.0, 0.5, 1.0 / 6.0))
-    u = np.finfo(float).eps / 2
+_U = np.finfo(float).eps / 2
 
-    def gamma(m):
-        return m * u / (1 - m * u)
 
-    switched = 0
+def _gamma(m):
+    return m * _U / (1 - m * _U)
+
+
+def _oriented_counterparts():
+    """Twelve seeded oriented digraphs G, each with its rng and U, G with every edge two-way.
+
+    G is oriented, so A_H(0) = A + A^T = A_U, the adjacency of U; U's
+    A_H(beta) = 2 cos(beta) A_U is A_U at beta = pi/3.  So G's walk at alpha 0
+    and U's at pi/3 are one walk.
+    """
     for k in range(12):
         rng = np.random.default_rng((2316, k))
         n = int(rng.integers(8, 65))
         g = _oriented_graph(rng, n, 2)
-        undirected = DirectedGraph(n, g.edges | {(j, i) for i, j in g.edges})
+        yield k, rng, g, DirectedGraph(n, g.edges | {(j, i) for i, j in g.edges})
+
+
+def _counterpart_gap_bound(n, t_end, hbar, dh_g, dh_u):
+    """Largest |P_G - P_U| for H of 2-norm <= ``hbar``, perturbed by ``dh_g`` and ``dh_u``.
+
+    An amplitude moves by t_end ||dH|| for the perturbed H, by 2 u t_end ||H||
+    for the rounded phase arguments w t, by 2 q u for the two eigenvector
+    factors, and by gamma_{2n+24} for the products: a basis start state, at
+    most 8 complex factors per phase, and inner products of length n.  Then
+    |P_G - P_U| = ||psi_G|^2 - |psi_U|^2| <= |psi_G - psi_U| (|psi_G| + |psi_U|).
+    """
+    q = n * n
+    e = sum(t_end * (dh + 2 * _U * hbar) + 2 * q * _U + _gamma(2 * n + 24) for dh in (dh_g, dh_u))
+    return e * (2 + e)
+
+
+def test_polynomial_walks_match_their_undirected_counterpart(monkeypatch):
+    # Both walk under H = 2 J(A_U): G by the Horner loop and a real eigensolve of H,
+    # U by one real eigensolve of S = 2 A_U.  The two routes share no arithmetic.
+    hermitized = _count_hermitize(monkeypatch)
+    grid = TimeGrid(0.0, 25.0, 500)
+    cubic = CouplingSeries.polynomial((0.0, 1.0, 0.5, 1.0 / 6.0))
+    u = _U
+    switched = 0
+    for k, rng, g, undirected in _oriented_counterparts():
+        n = g.n
         a = g.adjacency()
         rho = float((a + a.T).sum(axis=1).max())  # ||A_U||_inf >= ||A_U||_2
         for series in (cubic, random_polynomial_series(rng, 7)):
@@ -549,25 +575,60 @@ def test_polynomial_walks_match_their_undirected_counterpart(monkeypatch):
             # (_horner_loop_bound), a nonnegative matrix of 2-norm <= jbar, and H
             # doubles it; then the eigensolve of H.
             m = 3 * d + 2 * (n * n + n) + 1 + max(d - 1, 0) * (3 * n + 2)
-            dh_g = 2 * gamma(m) * jbar + q * u * 2 * jbar
+            dh_g = 2 * _gamma(m) * jbar + q * u * 2 * jbar
             # U: the eigensolve of S moves A_U by q u rho, so J(A_U) by djbar q u rho;
             # an eigenvalue x = cos(beta) l of A_U is off by |l| |cos(beta) - 1/2| and
             # one rounding, J(x) by djbar times that, and numpy's Horner polyval by
             # gamma_2d jbar; H doubles each.
             dc = abs(math.cos(math.pi / 3) - 0.5)
-            dh_u = 2 * (djbar * q * u * rho + djbar * (2 * dc + u) * rho + gamma(2 * d) * jbar)
-            # An amplitude moves by t_end ||dH|| for the perturbed H, by 2 u t_end ||H||
-            # for the rounded phase arguments w t, by 2 q u for the two eigenvector
-            # factors, and by gamma_{2n+24} for the products: a basis start state,
-            # at most 8 complex factors per phase, and inner products of length n.
-            e = sum(
-                grid.t_end * (dh + 2 * u * 2 * jbar) + 2 * q * u + gamma(2 * n + 24)
-                for dh in (dh_g, dh_u)
-            )
-            # |P_G - P_U| = ||psi_G|^2 - |psi_U|^2| <= |psi_G - psi_U| (|psi_G| + |psi_U|)
-            assert float(np.max(np.abs(p_g - p_u))) <= e * (2 + e), (k, series)
+            dh_u = 2 * (djbar * q * u * rho + djbar * (2 * dc + u) * rho + _gamma(2 * d) * jbar)
+            bound = _counterpart_gap_bound(n, grid.t_end, 2 * jbar, dh_g, dh_u)
+            assert float(np.max(np.abs(p_g - p_u))) <= bound, (k, series)
     # some walks switch from their walk terms to dense products partway through the loop
     assert switched >= 3
+
+
+@pytest.mark.parametrize(
+    "series",
+    [CouplingSeries.exp(), CouplingSeries.sinh(), CouplingSeries.cosh()],
+    ids=["exp", "sinh", "cosh"],
+)
+def test_spectral_walks_match_their_undirected_counterpart(monkeypatch, series):
+    # The polynomial identity above for the series the directed route applies
+    # spectrally: G takes a complex eigensolve of A_H(0) = A_U, J = V f(w) V^H and
+    # the real eigensolve of H = 2 Re J; U one real eigensolve of S = 2 A_U.
+    eighs = _count_eigh(monkeypatch)
+    grid = TimeGrid(0.0, 25.0, 500)
+    u = _U
+    for k, _, g, undirected in _oriented_counterparts():
+        n = g.n
+        a = g.adjacency()
+        rho = float((a + a.T).sum(axis=1).max())  # ||A_U||_inf >= ||A_U||_2
+        eighs.clear()
+        p_g = run_walk(g, 0.0, series, 0, grid).probabilities
+        p_u = run_walk(undirected, math.pi / 3, series, 0, grid).probabilities
+        assert eighs == [np.complex128, np.float64, np.float64]
+        # First order in u, with the eigensolves' q = n^2 of the polynomial test.
+        # exp, sinh and cosh and their derivatives are at most fbar = e^rho for
+        # |x| <= rho, and ||H|| <= 2 fbar.
+        fbar = math.exp(rho)
+        q = n * n
+        # G: the complex eigensolve diagonalizes A_U + E, ||E||_2 <= q u rho, by
+        # eigenvectors orthonormal to within q u.  By Duhamel's formula
+        # ||e^(A+E) - e^A|| <= ||E|| e^(||A|| + ||E||), and sinh and cosh are half
+        # sums of e^X and e^-X, so f(A_U + E) is within fbar q u rho of f(A_U); the
+        # two factors V and V^H add 2 q u fbar.  f(w) is rounded within one ulp (2 u)
+        # and hermitizing once more (u); the inner products of length n in V f(w) V^H
+        # are within gamma_{n+4} |V| |f(w)| |V^H|, whose 2-norm is at most n fbar.
+        # H doubles J; then the eigensolve of H.
+        dj_g = fbar * q * u * rho + 2 * q * u * fbar + 3 * u * fbar + _gamma(n + 4) * n * fbar
+        dh_g = 2 * dj_g + q * u * 2 * fbar
+        # U: as in the polynomial test, with f(x) rounded within one ulp in place of
+        # polyval's gamma_2d.
+        dc = abs(math.cos(math.pi / 3) - 0.5)
+        dh_u = 2 * (fbar * q * u * rho + fbar * (2 * dc + u) * rho + 2 * u * fbar)
+        bound = _counterpart_gap_bound(n, grid.t_end, 2 * fbar, dh_g, dh_u)
+        assert float(np.max(np.abs(p_g - p_u))) <= bound, k
 
 
 def _count_eigh(monkeypatch):
