@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .walk import (
 
 LOG_FLOOR = 1e-12
 LOG_SPAN = 12.0
+_REQUIRED = object()  # _field's default for a key that must be present
 
 # Gray levels 0..255 spelled with the separator that follows them in a P2
 # row, NUL-padded to 4 bytes; the padding is dropped when a block is written.
@@ -58,12 +60,32 @@ _GRAY_CELLS = np.array([b"%d " % v for v in range(256)])
 _GRAY_ROW_ENDS = np.array([b"%d\n" % v for v in range(256)])
 
 
-def _check_keys(cfg: dict, allowed, context: str) -> None:
+def _field(cfg, key: str, context, rule, default=_REQUIRED):
+    """``rule(cfg[key], "'key'")``, or ``default`` if ``key`` is absent: the one config reader.
+
+    A rule takes the value and its quoted key.  Errors are prefixed with
+    ``context``.  A section (``graph``, ``coupling``, ``time_grid``) is read
+    under its own name and reads its keys with ``context=None``, so that no
+    message is prefixed twice.
+    """
+    prefix = f"{context}: " if context else ""
     if not isinstance(cfg, dict):
-        raise ValueError(f"{context}: expected an object")
+        raise ValueError(f"{prefix}expected an object")
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ValueError(f"{prefix}missing '{key}'")
+        return default
+    try:
+        return rule(cfg[key], f"'{key}'")
+    except ValueError as exc:
+        raise ValueError(prefix + str(exc)) from None
+
+
+def _check_keys(cfg: dict, allowed, context=None) -> None:
+    """Reject the keys of ``cfg``, an object read by ``_field``, that are not ``allowed``."""
     unknown = sorted(set(cfg) - set(allowed))
     if unknown:
-        raise ValueError(f"{context}: unknown keys {unknown}")
+        raise ValueError((f"{context}: " if context else "") + f"unknown keys {unknown}")
 
 
 def _load_config(path) -> dict:
@@ -77,18 +99,43 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _config_string(cfg: dict, key: str, context: str) -> None:
-    """Reject a present ``key`` whose value is not a nonempty string."""
-    if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
-        raise ValueError(f"{context}: '{key}' must be a nonempty string, got {cfg[key]!r}")
+def _given(value, what):
+    return value  # for a library builder that checks it
 
 
-def _config_build(build, context: str, *args):
-    """Call a library constructor, prefixing its ValueError with ``context``."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ValueError(f"{context}: {exc}") from None
+def _boolean(value, what) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be a boolean, got {value!r}")
+    return value
+
+
+def _string(value, what) -> str:
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{what} must be a nonempty string, got {value!r}")
+    return value
+
+
+def _choice(*choices):
+    def rule(value, what):
+        if value not in choices:
+            raise ValueError(f"{what} must be one of {sorted(choices)}, got {value!r}")
+        return value
+
+    return rule
+
+
+def _list(value, what, parse=_given, nonempty=False) -> list:
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ValueError(f"{what} must be a {'nonempty ' * nonempty}list, got {value!r}")
+    return [parse(entry, f"{what} entry") for entry in value]
+
+
+def _phase(token, what) -> float:
+    return parse_phase(token)
+
+
+def _phases(value, what) -> list[float]:  # a phase or a list of phases
+    return _list(value if isinstance(value, list) else [value], what, _phase)
 
 
 # family -> the graph keys it reads besides "family"
@@ -102,66 +149,38 @@ _GRAPH_KEYS = {
 _SIZED_BUILDERS = {"star": build_star, "ring": ring_spec, "moebius": moebius_spec}
 
 
-def _build_graph(cfg, context: str = "graph"):
+def _build_graph(cfg, what=None):
     """Build a DirectedGraph or CirculantSpec from a config object, with its report label.
 
     The label is spelled from the built instance, so ``6`` and ``6.0`` name one graph.
     """
-    if not isinstance(cfg, dict) or cfg.get("family") not in _GRAPH_KEYS:
-        raise ValueError(f"{context}: expected an object with 'family' one of {sorted(_GRAPH_KEYS)}")
-    family = cfg["family"]
-    _check_keys(cfg, {"family", *_GRAPH_KEYS[family]}, context)
+    family = _field(cfg, "family", None, _choice(*_GRAPH_KEYS))
+    _check_keys(cfg, {"family", *_GRAPH_KEYS[family]})
     if family == "circulant":
-        coeffs = cfg.get("coefficients")
-        if not isinstance(coeffs, list):
-            raise ValueError(f"{context}: circulant family needs a 'coefficients' list")
-        spec = _config_build(CirculantSpec, context, coeffs)
+        spec = CirculantSpec(_field(cfg, "coefficients", None, _list))
         return spec, f"circulant-n{spec.n}"
     if family == "edge-list":
-        if "path" not in cfg:
-            raise ValueError(f"{context}: edge-list family needs a 'path'")
-        _config_string(cfg, "path", context)
-        return _config_build(read_edge_list, context, cfg["path"]), "edge-list"
-    directed = cfg.get("directed", True)
-    if not isinstance(directed, bool):
-        raise ValueError(f"{context}: 'directed' must be a boolean")
-    graph = _config_build(_SIZED_BUILDERS[family], context, cfg.get("size"), directed)
+        return read_edge_list(_field(cfg, "path", None, _string)), "edge-list"
+    directed = _field(cfg, "directed", None, _boolean, True)
+    graph = _SIZED_BUILDERS[family](_field(cfg, "size", None, _given), directed)
     size = graph.n - 1 if family == "star" else graph.n  # a star's size counts its leaves
     return graph, f"{family}-n{size}" + ("" if directed else "-undirected")
 
 
-def _build_series(cfg) -> CouplingSeries:
-    if cfg is None:
-        return CouplingSeries.exp()
-    _check_keys(cfg, {"kind", "coefficients"}, "coupling")
-    coeffs = cfg.get("coefficients", [])
-    if not isinstance(coeffs, list):
-        raise ValueError(f"coupling: 'coefficients' must be a list, got {coeffs!r}")
-    return _config_build(CouplingSeries, "coupling", cfg.get("kind"), coeffs)
+def _build_series(cfg, what) -> CouplingSeries:
+    kind = _field(cfg, "kind", None, _given)
+    coeffs = _field(cfg, "coefficients", None, _list, [])
+    _check_keys(cfg, {"kind", "coefficients"})
+    return CouplingSeries(kind, coeffs)
 
 
-def _build_grid(cfg) -> TimeGrid:
-    if cfg is None:
-        return DEFAULT_TIME_GRID
-    _check_keys(cfg, {"start", "end", "steps"}, "time_grid")
+def _build_grid(cfg, what) -> TimeGrid:
     default = DEFAULT_TIME_GRID
-    return _config_build(
-        TimeGrid,
-        "time_grid",
-        cfg.get("start", default.t_start),
-        cfg.get("end", default.t_end),
-        cfg.get("steps", default.steps),
-    )
-
-
-def _parse_alphas(cfg) -> list[float]:
-    if "alphas" not in cfg:
-        raise ValueError("config: missing 'alphas'")
-    raw = cfg["alphas"]
-    tokens = raw if isinstance(raw, list) else [raw]
-    if not tokens:
-        raise ValueError("config: 'alphas' must not be empty")
-    return [parse_phase(tok) for tok in tokens]
+    start = _field(cfg, "start", None, _given, default.t_start)
+    end = _field(cfg, "end", None, _given, default.t_end)
+    steps = _field(cfg, "steps", None, _given, default.steps)
+    _check_keys(cfg, {"start", "end", "steps"})
+    return TimeGrid(start, end, steps)
 
 
 def _header_lines(cfg: dict, seed, command: str, extra=()) -> list[str]:
@@ -229,40 +248,37 @@ def cmd_walk(args) -> int:
     _check_keys(
         cfg, {"graph", "coupling", "alphas", "time_grid", "initial_node", "output"}, "config"
     )
-    if "graph" not in cfg:
-        raise ValueError("config: missing 'graph'")
-    alphas = _parse_alphas(cfg)
+    alphas = _field(cfg, "alphas", "config", _phases)
+    if not alphas:
+        raise ValueError("config: 'alphas' must not be empty")
     sweep = args.command == "sweep"
     if not sweep and len(alphas) != 1:
         raise ValueError(f"simulate needs exactly one alpha, got {len(alphas)}")
-    graph, _ = _build_graph(cfg["graph"])
-    series = _build_series(cfg.get("coupling"))
-    grid = _build_grid(cfg.get("time_grid"))
-    initial = _whole_number(cfg.get("initial_node", 0), "config: 'initial_node'")
+    graph, _ = _field(cfg, "graph", "graph", _build_graph)
+    series = _field(cfg, "coupling", "coupling", _build_series, CouplingSeries.exp())
+    grid = _field(cfg, "time_grid", "time_grid", _build_grid, DEFAULT_TIME_GRID)
+    initial = _field(cfg, "initial_node", "config", _whole_number, 0)
     output = cfg.get("output", {})
+    csv_name = _field(output, "csv", "output", _string, "walk.csv")
+    pgm_name = _field(output, "heatmap", "output", _string, None)
+    scale = _field(output, "scale", "output", _choice("linear", "log"), "linear")
+    include_amps = _field(output, "amplitudes", "output", _boolean, False)
     _check_keys(output, {"csv", "heatmap", "scale", "amplitudes"}, "output")
-    _config_string(output, "csv", "output")
-    _config_string(output, "heatmap", "output")
-    include_amps, scale = output.get("amplitudes", False), output.get("scale", "linear")
-    if not isinstance(include_amps, bool):
-        raise ValueError(f"output: 'amplitudes' must be a boolean, got {include_amps!r}")
-    if scale not in ("linear", "log"):
-        raise ValueError(f"output: 'scale' must be 'linear' or 'log', got {scale!r}")
     results = [run_walk(graph, alpha, series, initial, grid) for alpha in alphas]
     for index, result in enumerate(results):
-        csv_name, pgm_name = output.get("csv", "walk.csv"), output.get("heatmap")
         extra = [f"alpha: {result.alpha:.17g}"]
         defect = result.normalization_defect
         summary = f"normalization defect: {defect:.3e}"
+        csv_path, pgm_path = csv_name, pgm_name
         if sweep:
-            csv_name = _suffixed(csv_name, index)
-            pgm_name = pgm_name and _suffixed(pgm_name, index)
+            csv_path = _suffixed(csv_name, index)
+            pgm_path = pgm_name and _suffixed(pgm_name, index)
             extra.insert(0, f"alpha-index: {index}")
             summary = f"alpha={result.alpha:.6g}: normalization defect {defect:.3e}"
         header = _header_lines(cfg, args.seed, args.command, extra)
-        write_walk_csv(result, _out_path(args.out_dir, csv_name), include_amps, header)
-        if pgm_name is not None:
-            pgm_path = _out_path(args.out_dir, pgm_name)
+        write_walk_csv(result, _out_path(args.out_dir, csv_path), include_amps, header)
+        if pgm_path is not None:
+            pgm_path = _out_path(args.out_dir, pgm_path)
             write_heatmap_pgm(result.probabilities, pgm_path, scale, header)
         print(summary)
     return 0
@@ -294,51 +310,35 @@ _CHECKS = {
 _CHECK_INT_DEFAULTS = {"initial_node": 0, "count": 20, "max_nodes": 16, "max_degree": 5}
 
 
-def _config_list(cfg, key: str, parse, context: str):
-    """Each entry of an optional list field through ``parse``; None when absent."""
-    if key not in cfg:
-        return None
-    if not isinstance(cfg[key], list):
-        raise ValueError(f"{context}: '{key}' must be a list, got {cfg[key]!r}")
-    return [parse(entry, f"{context}: '{key}' entry") for entry in cfg[key]]
-
-
-def _config_phase(token, what: str) -> float:
-    return _config_build(parse_phase, what, token)
-
-
 def _parse_check(check_cfg, grid, seed):
     """Parse a check against its ``_CHECKS`` row: its property and a function running its walks.
 
-    A malformed field raises ValueError here, before ``verify`` runs any
-    check; a ValueError from the returned function (a loosened tolerance, an
-    ineligible instance or a failed random draw) is a rejected line.
+    Every field is read through ``_field``, so a malformed one (a present
+    ``null`` and an empty ``deltas`` or ``partition`` list among them) raises
+    ValueError here, before ``verify`` runs any check.  A ValueError from the
+    returned function (a loosened tolerance, an ineligible instance, a node
+    outside the graph or a failed random draw) is a rejected line.
     """
-    if not isinstance(check_cfg, dict) or check_cfg.get("property") not in _CHECKS:
-        raise ValueError(f"check: expected an object with 'property' one of {sorted(_CHECKS)}")
-    prop = check_cfg["property"]
+    prop = _field(check_cfg, "property", "check", _choice(*_CHECKS))
     default, reads, required = _CHECKS[prop]
     context = f"{prop} check"
     _check_keys(check_cfg, {"property", "tolerance", "time_grid", *reads}, context)
-    missing = sorted(required - check_cfg.keys())
-    if missing:
-        raise ValueError(f"{context}: missing {missing}")
-    tol = _real_number(check_cfg.get("tolerance", default), f"{context}: 'tolerance'")
-    series = _build_series(check_cfg.get("coupling"))
-    if "time_grid" in check_cfg:
-        grid = _build_grid(check_cfg["time_grid"])
+
+    def field(key, rule, fallback=None, where=context):
+        return _field(check_cfg, key, where, rule, _REQUIRED if key in required else fallback)
+
+    tol = field("tolerance", _real_number, default)
+    series = field("coupling", _build_series, CouplingSeries.exp(), "coupling")
+    grid = field("time_grid", _build_grid, grid, "time_grid")
     initial, count, max_nodes, max_degree = (
-        _whole_number(check_cfg.get(key, fallback), f"{context}: '{key}'")
-        for key, fallback in _CHECK_INT_DEFAULTS.items()
+        field(key, _whole_number, fallback) for key, fallback in _CHECK_INT_DEFAULTS.items()
     )
     if count < 1 or max_nodes < 2 or max_degree < 0:
         raise ValueError(f"{context}: needs 'count' >= 1, 'max_nodes' >= 2 and 'max_degree' >= 0")
-    deltas = _config_list(check_cfg, "deltas", _config_phase, context)
-    partition = _config_list(check_cfg, "partition", _whole_number, context)
-    half_pi = check_cfg.get("half_pi")
-    if "half_pi" in check_cfg and not isinstance(half_pi, bool):
-        raise ValueError(f"{context}: 'half_pi' must be a boolean, got {half_pi!r}")
-    built = [_build_graph(check_cfg[key], key) for key in ("graph", "graph_b") if key in check_cfg]
+    deltas = field("deltas", partial(_list, parse=_phase, nonempty=True))
+    partition = field("partition", partial(_list, parse=_whole_number, nonempty=True))
+    half_pi = field("half_pi", _boolean)
+    built = [g for key in ("graph", "graph_b") if (g := field(key, _build_graph, where=key))]
     if prop == "suppression" and not built:
         built = [_build_graph(cfg) for cfg in _DEFAULT_SUPPRESSION_GRAPHS]
     graphs, labels = [graph for graph, _ in built], [label for _, label in built]
@@ -376,11 +376,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     cfg = _load_config(args.config)
     _check_keys(cfg, {"checks", "report", "time_grid"}, "config")
-    _config_string(cfg, "report", "config")
-    checks = cfg.get("checks")
-    if not isinstance(checks, list) or not checks:
-        raise ValueError("config: 'checks' must be a nonempty list")
-    grid = _build_grid(cfg.get("time_grid"))
+    report_name = _field(cfg, "report", "config", _string, None)
+    checks = _field(cfg, "checks", "config", partial(_list, nonempty=True))
+    grid = _field(cfg, "time_grid", "time_grid", _build_grid, DEFAULT_TIME_GRID)
     # every check is parsed before any runs, so a malformed one exits 1 without a report
     parsed = [_parse_check(check_cfg, grid, args.seed) for check_cfg in checks]
     lines = ["property,instance,deviation,tolerance,verdict"]
@@ -396,9 +394,9 @@ def cmd_verify(args) -> int:
             all_ok = False
     for line in lines:
         print(line)
-    if "report" in cfg:
+    if report_name is not None:
         header = _header_lines(cfg, args.seed, "verify")
-        with open(_out_path(args.out_dir, cfg["report"]), "w", encoding="ascii") as fh:
+        with open(_out_path(args.out_dir, report_name), "w", encoding="ascii") as fh:
             for line in header:
                 fh.write(f"# {line}\n")
             fh.write("\n".join(lines) + "\n")

@@ -488,6 +488,19 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
             "graph": {"family": "ring", "size": 6},
             "coupling": {"kind": "fourier"},
         },
+        # a present null is not an absent key
+        {"property": "suppression", "graph": {"family": "ring", "size": 6}, "coupling": None},
+        {
+            "property": "stationary",
+            "graph": {"family": "ring", "size": 6, "directed": False},
+            "time_grid": None,
+        },
+        # empty lists are refused with the other malformed fields, not as rejected lines
+        {"property": "mirror", "graph": {"family": "ring", "size": 6}, "deltas": []},
+        {"property": "suppression", "graph": {"family": "ring", "size": 6}, "partition": []},
+        # an unhashable choice is refused like any other
+        {"property": "suppression", "graph": {"family": []}},
+        {"property": []},
     ],
     ids=[
         "fractional-count",
@@ -526,6 +539,12 @@ def test_verify_rejects_unsuitable_instance(tmp_path, capsys):
         "scalar-polynomial-coefficients",
         "coefficients-on-exp",
         "unknown-coupling-kind",
+        "null-coupling",
+        "null-time-grid",
+        "empty-deltas",
+        "empty-partition",
+        "list-family",
+        "list-property",
     ],
 )
 def test_verify_config_errors_exit_one(tmp_path, capsys, check):
@@ -553,6 +572,10 @@ def _without(cfg, key):
         ("simulate", simulate_cfg(coupling="exp"), "coupling: expected an object"),
         ("simulate", simulate_cfg(time_grid=5), "time_grid: expected an object"),
         ("simulate", simulate_cfg(output=[]), "output: expected an object"),
+        ("simulate", simulate_cfg(coupling=None), "coupling: expected an object"),
+        ("simulate", simulate_cfg(time_grid=None), "time_grid: expected an object"),
+        ("verify", {"checks": [{"property": "suppression"}], "time_grid": None},
+         "time_grid: expected an object"),
     ],
     ids=[
         "non-object-config",
@@ -563,6 +586,9 @@ def _without(cfg, key):
         "string-coupling",
         "number-time-grid",
         "list-output",
+        "null-coupling",
+        "null-time-grid",
+        "null-verify-time-grid",
     ],
 )
 def test_malformed_configs_exit_one(tmp_path, capsys, command, cfg, message):

@@ -631,6 +631,82 @@ def test_spectral_walks_match_their_undirected_counterpart(monkeypatch, series):
         assert float(np.max(np.abs(p_g - p_u))) <= bound, k
 
 
+def _realified_hamiltonian(g, alpha, f):
+    """H = 2 Re f(A_H) from one real eigensolve of size 2N, with no complex arithmetic.
+
+    A_H = X + iY, X = cos(alpha) (A + A^T) symmetric and Y = sin(alpha) (A - A^T)
+    antisymmetric.  Its real representation M = [[X, -Y], [Y, X]] (Horn & Johnson,
+    Matrix Analysis) is real symmetric, has every eigenvalue of A_H twice, and
+    f(M) = [[Re f(A_H), -Im f(A_H)], [Im f(A_H), Re f(A_H)]], so H = 2 f(M)[:N, :N].
+    """
+    a = g.adjacency()
+    x, y = math.cos(alpha) * (a + a.T), math.sin(alpha) * (a - a.T)
+    values, vectors = np.linalg.eigh(np.block([[x, -y], [y, x]]))
+    return 2.0 * ((vectors[: g.n] * f(values)) @ vectors[: g.n].T)
+
+
+# Today the Hermiticity gate of the spectral J rejects these draws (ValueError).
+_GATE_REJECTED = {
+    0: ("sinh", "cosh"),
+    3: ("exp", "sinh", "cosh"),
+    4: ("exp", "sinh", "cosh"),
+    8: ("exp", "sinh", "cosh"),
+    10: ("exp", "sinh", "cosh"),
+    18: ("sinh", "cosh"),
+    20: ("sinh", "cosh"),
+    23: ("sinh", "cosh"),
+    25: ("sinh", "cosh"),
+    27: ("exp", "sinh", "cosh"),
+    28: ("exp", "sinh", "cosh"),
+}
+_GATE_XFAIL = pytest.mark.xfail(
+    strict=True, raises=ValueError, reason="the Hermiticity gate rejects the spectral J"
+)
+
+
+def _realified_cases():
+    """30 random digraphs, each at a phase drawn uniformly in [-3, 3], then transitive tournaments."""
+    rng = np.random.default_rng(3)
+    draws = [(random_directed_graph(rng, 40), float(rng.uniform(-3.0, 3.0))) for _ in range(30)]
+    for k, (g, alpha) in enumerate(draws):
+        for name in ("exp", "sinh", "cosh"):
+            marks = [_GATE_XFAIL] if name in _GATE_REJECTED.get(k, ()) else []
+            yield pytest.param(g, alpha, name, id=f"draw{k}-{name}", marks=marks)
+    for n in (13, 14, 20, 30):
+        tournament = DirectedGraph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+        for alpha in (0.0, 0.3):
+            yield pytest.param(
+                tournament, alpha, "exp", id=f"tournament{n}-alpha{alpha}", marks=[_GATE_XFAIL]
+            )
+
+
+@pytest.mark.parametrize("g, alpha, name", list(_realified_cases()))
+def test_hamiltonian_matches_its_realified_oracle(g, alpha, name):
+    # The library forms the complex A_H, J = V f(w) V^H by a complex eigensolve and
+    # H = 2 Re J; the oracle one real eigensolve of M.  The two share no arithmetic.
+    f = getattr(np, name)
+    h = assemble_hamiltonian(g, alpha, getattr(CouplingSeries, name)()).matrix
+    oracle = _realified_hamiltonian(g, alpha, f)
+    # First order in u, a priori.  rho >= ||A_H||_2 = ||M||_2, and exp, sinh and cosh
+    # and their derivatives are at most fbar = e^rho on [-rho, rho].  Each route
+    # rounds A_H or M within 2 u rho and eigensolves it backward stably, with q = m^2
+    # for size m (as in the counterpart tests): f of the perturbed matrix moves by
+    # fbar (q + 2) u rho, the two eigenvector factors add 2 q u fbar, f(w) is rounded
+    # within one ulp (2 u fbar) and the library hermitizes J once more (u fbar); the
+    # inner products of length m are within gamma_{m+4} m fbar.  H doubles J, and
+    # max|dH| <= ||dH||_2.  The bound is absolute, so a draw with H = 0 (the
+    # edgeless two-node draw 2 under sinh) is held to it as well.
+    n = g.n
+    a = g.adjacency()
+    rho = float((a + a.T).sum(axis=1).max())
+    fbar = math.exp(rho)
+    bound = 0.0
+    for m in (n, 2 * n):
+        q = m * m
+        bound += 2 * fbar * ((q + 2) * _U * rho + 2 * q * _U + 3 * _U + _gamma(m + 4) * m)
+    assert float(np.max(np.abs(h - oracle))) <= bound
+
+
 def _count_eigh(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
