@@ -135,7 +135,7 @@ def _phase(token, what) -> float:
 
 
 def _phases(value, what) -> list[float]:  # a phase or a list of phases
-    return _list(value if isinstance(value, list) else [value], what, _phase)
+    return _list(value if isinstance(value, list) else [value], what, _phase, nonempty=True)
 
 
 # family -> the graph keys it reads besides "family"
@@ -249,8 +249,6 @@ def cmd_walk(args) -> int:
         cfg, {"graph", "coupling", "alphas", "time_grid", "initial_node", "output"}, "config"
     )
     alphas = _field(cfg, "alphas", "config", _phases)
-    if not alphas:
-        raise ValueError("config: 'alphas' must not be empty")
     sweep = args.command == "sweep"
     if not sweep and len(alphas) != 1:
         raise ValueError(f"simulate needs exactly one alpha, got {len(alphas)}")

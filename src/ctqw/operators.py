@@ -9,11 +9,11 @@ and a real-coefficient coupling series J lifts it to the walk Hamiltonian
     H = J(A_H) + J(A_H)^T.
 
 J(A_H) is Hermitian for real series, so H = 2 Re J(A_H) is real symmetric.
-A_H, H and a polynomial J of degree at most 7 are Hermitian by
-construction and only checked for finite entries.  Such a J runs one Horner
-loop, P <- P A_H + c_k I: on the walks of A_H while they number at most the
-N^2 entries of P, summed into P once, then by dense products.  Any other J
-is spectral, V J(w) V^H, and is gated like every operator a caller builds.
+A_H, every J and H are Hermitian by construction and only checked for finite
+entries; only operators a caller builds are gated.  A polynomial J of degree
+at most 7 runs one Horner loop, P <- P A_H + c_k I: on the walks of A_H while
+they number at most the N^2 entries of P, summed into P once, then by dense
+products.  Any other J is spectral, V J(w) V^H, hermitized in place.
 
 An undirected graph (A = A^T) has the real A_H = cos(alpha) S with
 S = A_H(0) = A + A^T = V diag(l) V^T, so H = V diag(2 J(cos(alpha) l)) V^T for
@@ -452,9 +452,9 @@ def apply_coupling(series: CouplingSeries, op: HermitianOperator) -> HermitianOp
     degree, the index of its last nonzero coefficient, is at most 7 runs one
     Horner loop (``_hermitian_horner``) with its trailing zeros dropped: on
     M's walks while they number at most the N^2 entries of the result, then
-    by dense products.  Every other series is
-    applied spectrally: V J(w) V^H from the eigensystem of M.  Only that
-    spectral result, Hermitian up to rounding, is gated.
+    by dense products.  Every other series is applied spectrally, V J(w) V^H
+    from the eigensystem of M, and stored as its Hermitian part.  Either J is
+    exactly Hermitian, so only its finiteness is checked.
     """
     if series.kind == "identity":
         return op
@@ -463,10 +463,8 @@ def apply_coupling(series: CouplingSeries, op: HermitianOperator) -> HermitianOp
     if series.kind == "polynomial" and degree <= _HORNER_MAX_DEGREE:
         return HermitianOperator._by_construction(_hermitian_horner(c[: degree + 1], op.matrix))
     es = hermitian_eigendecomposition(op)
-    f = series.scalar(es.values)
-    m = (es.vectors * f) @ es.vectors.conj().T
-    # V f(w) V^H is Hermitian up to roundoff; the constructor re-certifies it.
-    return HermitianOperator(m)
+    m = (es.vectors * series.scalar(es.values)) @ es.vectors.conj().T
+    return HermitianOperator._by_construction(_hermitize(m))
 
 
 def assemble_hamiltonian(g, alpha: float, series: CouplingSeries) -> HermitianOperator:
@@ -482,14 +480,15 @@ def assemble_hamiltonian(g, alpha: float, series: CouplingSeries) -> HermitianOp
 def hamiltonian_eigensystem(g, alpha: float, series: CouplingSeries) -> EigenSystem:
     """Ascending eigensystem of the walk Hamiltonian of a directed graph.
 
-    An undirected graph (no ``g.one_way_edges``) takes one real eigensolve of S = A_H(0),
+    An undirected graph (no ``g.one_way_edges``) takes one real eigensolve of S = A_H(0) = 2 A,
     H = V diag(2 J(cos(alpha) l)) V^T for every alpha and series (NonFiniteOperatorError on
-    non-finite values); any other the eigensolve of ``assemble_hamiltonian``'s H.  Both
-    scatter A_H from the edge index, so no adjacency matrix is built.
+    non-finite values); any other the eigensolve of ``assemble_hamiltonian``'s H, whose A_H
+    is scattered from the edge index.
     """
     if g.one_way_edges:
         return hermitian_eigendecomposition(assemble_hamiltonian(g, alpha, series))
-    s = hermitian_adjacency(g, 0.0).matrix.real  # A + A^T bit for bit: 2 on each two-way pair
+    s = g.adjacency()
+    s *= 2.0  # A + A^T bit for bit, as A = A^T: 2 on each two-way pair
     es = hermitian_eigendecomposition(HermitianOperator._by_construction(s))
     w = 2.0 * series.scalar(np.cos(alpha) * es.values)
     _require_finite(w)

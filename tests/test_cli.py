@@ -149,6 +149,24 @@ def _complete_edges(n, missing=()):
     return "".join(f"{i} {j}\n" for i in range(n) for j in range(n) if i != j and (i, j) not in missing)
 
 
+def test_transitive_tournament_under_exp_exits_zero(tmp_path, capsys):
+    # J = V exp(w) V^H of the 14-node transitive tournament at alpha 0 misses exact
+    # Hermiticity by 3.6e-12 from rounding alone; it is stored as its Hermitian part,
+    # so the valid input walks to a normalized field and is no config error
+    n = 14
+    graph_path = tmp_path / "tournament.txt"
+    edges = "".join(f"{i} {j}\n" for i in range(n) for j in range(i + 1, n))
+    graph_path.write_text(f"n {n}\n" + edges)
+    cfg = simulate_cfg(graph={"family": "edge-list", "path": str(graph_path)}, alphas=0,
+                       coupling={"kind": "exp"}, output={"csv": "tournament.csv"})
+    code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert "normalization defect" in capsys.readouterr().out
+    times, probs = read_walk_csv(tmp_path / "tournament.csv")
+    assert probs.shape == (len(times), n)
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-10
+
+
 def test_non_finite_coupling_exits_three(tmp_path, capsys):
     # exp(A_H) of the complete 400-node digraph at alpha 0 reaches e^798, past
     # the float range: a numerical failure and not a config error.  The complete
@@ -566,7 +584,7 @@ def _without(cfg, key):
     [
         ("simulate", [simulate_cfg()], "top-level config must be an object"),
         ("simulate", _without(simulate_cfg(), "alphas"), "missing 'alphas'"),
-        ("simulate", simulate_cfg(alphas=[]), "'alphas' must not be empty"),
+        ("simulate", simulate_cfg(alphas=[]), "'alphas' must be a nonempty list"),
         ("simulate", _without(simulate_cfg(), "graph"), "missing 'graph'"),
         ("verify", {"checks": []}, "'checks' must be a nonempty list"),
         ("simulate", simulate_cfg(coupling="exp"), "coupling: expected an object"),
