@@ -18,7 +18,7 @@ products.  Any other J is spectral, V J(w) V^H, hermitized in place.
 An undirected graph (A = A^T) has the real A_H = cos(alpha) S with
 S = A_H(0) = A + A^T = V diag(l) V^T, so H = V diag(2 J(cos(alpha) l)) V^T for
 every series: one real eigensolve of S gives the whole walk, and no J is formed.
-``_dense_amplitudes`` runs ``propagate`` in H's real eigenbasis, node-major.
+``_dense_amplitudes`` binds ``propagate`` to H's real eigenbasis, node-major.
 """
 
 from __future__ import annotations
@@ -357,13 +357,25 @@ def _block(cells: np.ndarray, shape, node_major: bool) -> np.ndarray:
     return cells[: b * rows * n].reshape(shape)
 
 
-def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, grid, visit=None):
-    """``propagate`` with node-major blocks, mapped into and out of ``es``'s basis by real gemms."""
+def _walk(values, into, to_nodes, node_major=False):
+    """``propagate`` bound to one eigenbasis, called as ``(psi0, grid, visit=None)``.
+
+    ``into`` maps psi0, or an (S, N) stack, cast to complex into the eigenbasis of ``values``.
+    """
+    return lambda psi0, grid, visit=None: propagate(
+        values, into(np.asarray(psi0, dtype=complex)), grid, to_nodes, visit, node_major
+    )
+
+
+def _dense_amplitudes(es: EigenSystem):
+    """The walk of ``es``: node-major blocks, mapped into and out of its basis by real gemms."""
     # V is real (every assembled H is float64), so it is never cast to a complex N x N copy:
     # V^T meets the states' (re, im) column pairs in one real gemm
     v = es.vectors
-    states = np.ascontiguousarray(np.atleast_2d(np.asarray(psi0, dtype=complex)).T)
-    phi = (v.T @ states.view(float)).view(complex).T
+
+    def into(psi0):
+        states = np.ascontiguousarray(np.atleast_2d(psi0).T)
+        return (v.T @ states.view(float)).view(complex).T
 
     def columns(block):
         # a node-major (B, rows, N) block is an (N, B, rows) array in memory, so this is a
@@ -373,7 +385,7 @@ def _dense_amplitudes(es: EigenSystem, psi0: np.ndarray, grid, visit=None):
     def to_nodes(block, out):
         np.matmul(v, columns(block), out=columns(out))
 
-    return propagate(es.values, phi, grid, to_nodes, visit, node_major=True)
+    return _walk(es.values, into, to_nodes, node_major=True)
 
 
 def hermitian_eigendecomposition(op: HermitianOperator) -> EigenSystem:

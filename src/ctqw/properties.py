@@ -157,7 +157,9 @@ def check_mirror_symmetries(
     deltas = [_real_number(d, "delta") for d in deltas]
     if not deltas:
         raise ValueError("need at least one delta")
-    initial = _as_state(initial, graph_or_spec.n)
+    # TypeError for anything but a graph or spec first; a weighted spec has no 0/1 graph
+    n = graph_or_spec.n if isinstance(graph_or_spec, CirculantSpec) else _graph_of(graph_or_spec).n
+    initial = _as_state(initial, n)
     eligible = _half_pi_eligible(graph_or_spec, initial)
     if half_pi_branch and not eligible:
         raise ValueError("pi/2 mirror branch needs a bipartite graph and a one-sided initial state")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import CirculantSpec
-from .operators import CouplingSeries, _require_finite, propagate
+from .operators import CouplingSeries, _require_finite, _walk
 
 # numpy.fft writes into an ``out`` array from NumPy 2.0 on
 _IFFT_TAKES_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
@@ -71,28 +71,15 @@ def circulant_column(spectrum: np.ndarray, out: np.ndarray | None = None) -> np.
     return out
 
 
-def circulant_amplitudes(
-    c: CirculantSpec,
-    alpha: float,
-    series: CouplingSeries,
-    psi0: np.ndarray,
-    grid,
-    visit=None,
-) -> np.ndarray | None:
-    """Amplitudes of exp(-iHt) psi0 on a ``TimeGrid``, shape (T, N).
+def circulant_amplitudes(c: CirculantSpec, alpha: float, series: CouplingSeries):
+    """The walk of one (spec, alpha, series), ``(psi0, grid, visit=None) -> (T, N)``.
 
-    One FFT of psi0 serves every grid point: U(t) psi0 is the first column of
-    the circulant with spectrum exp(-i D t) fft(psi0).  ``propagate`` builds
-    one phase table per call and hands over time-major blocks, each mapped
-    back by one inverse FFT along its last axis, so the cost is
-    O(T N log N) time and O(N * TIME_CHUNK) scratch memory beyond the (T, N)
-    result.  With ``visit``, ``psi0`` is an (S, N) stack of states streamed
-    as in ``propagate``: one FFT per (chunk, batch) of states, each block
-    held to the fixed scratch cap (or one state's chunk, when N is larger).
-    A non-finite spectrum, as from a NaN or infinite phase, raises
-    NonFiniteOperatorError, as on the dense engine.
+    D is computed once, here; a non-finite D, as from a NaN or infinite
+    phase, raises NonFiniteOperatorError, as on the dense engine.  Each call
+    takes one FFT of psi0: U(t) psi0 is the first column of the circulant
+    with spectrum exp(-i D t) fft(psi0), and ``propagate`` maps each
+    time-major block back by one inverse FFT along its last axis.
     """
     d = circulant_hamiltonian_spectrum(c, alpha, series)
     _require_finite(d)
-    phi = np.fft.fft(np.asarray(psi0, dtype=complex))
-    return propagate(d, phi, grid, circulant_column, visit)
+    return _walk(d, np.fft.fft, circulant_column)

@@ -155,21 +155,18 @@ def _label(graph_or_spec) -> str:
 def propagator(graph_or_spec, alpha: float, series: CouplingSeries):
     """Walk amplitudes for one (graph, alpha, series) as ``(psi0, grid) -> (T, N)``.
 
-    A directed graph's Hamiltonian is diagonalized once, here, for every
-    later call; a circulant spec's Fourier spectrum costs one length-N FFT
-    per call.  ``psi0`` must be a normalized state of the right size and
+    Each engine builds its walk here, once: a directed graph's Hamiltonian is
+    diagonalized and a circulant spec's Fourier spectrum computed for every
+    later call.  ``psi0`` must be a normalized state of the right size and
     ``grid`` a ``TimeGrid``.  A third argument ``visit`` streams an (S, N)
     stack of states instead, every state sharing each chunk's phases:
     ``visit(first, rows, block)`` gets a (B, rows, N) block of states first
     onwards, with B set by ``propagate``'s fixed scratch cap.
     """
     if isinstance(graph_or_spec, CirculantSpec):
-        return lambda psi0, grid, visit=None: circulant_amplitudes(
-            graph_or_spec, alpha, series, psi0, grid, visit
-        )
+        return circulant_amplitudes(graph_or_spec, alpha, series)
     if isinstance(graph_or_spec, DirectedGraph):
-        es = hamiltonian_eigensystem(graph_or_spec, alpha, series)
-        return lambda psi0, grid, visit=None: _dense_amplitudes(es, psi0, grid, visit)
+        return _dense_amplitudes(hamiltonian_eigensystem(graph_or_spec, alpha, series))
     raise TypeError(f"expected DirectedGraph or CirculantSpec, got {type(graph_or_spec)!r}")
 
 

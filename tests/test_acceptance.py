@@ -13,6 +13,7 @@ phase, eps (1 + |x|) max|E| t_end, exceeds it; see the test's comment.  The
 whole suite passes (122 tests).
 """
 
+import itertools
 import math
 import time
 
@@ -21,6 +22,7 @@ import numpy as np
 from ctqw import (
     CirculantSpec,
     CouplingSeries,
+    DirectedGraph,
     TimeGrid,
     arrival_time,
     assemble_hamiltonian,
@@ -354,5 +356,61 @@ def test_criterion_8_bidirected_edge_cancellation():
         f"ring-vs-ladder field gap {rep_cancel.deviation:.3e} (tol {tol:g}); "
         f"8-ring+diameters non-bipartite={non_bipartite}, cross probability "
         f"{rep_supp.deviation:.3e}",
+    )
+    assert ok, line
+
+
+def _two_way(g, pairs, rng, p):
+    """``g`` plus both directions of each of ``pairs`` drawn with probability ``p``, in order."""
+    drawn = [pair for pair, u in zip(pairs, rng.random(len(pairs))) if u < p]
+    return DirectedGraph(g.n, g.edges | {e for i, j in drawn for e in ((i, j), (j, i))})
+
+
+def test_criterion_9_half_pi_claims_on_random_non_bipartite_graphs():
+    # The abstract's two pi/2 claims on seeded random families.  Suppression: a
+    # bipartite draw with two-way pairs added inside its sides, mostly no longer
+    # bipartite, is walked from its even side.  Cancellation: a digraph against
+    # itself plus two-way pairs on node pairs it leaves free.
+    tol_supp, tol_cancel = 1e-10, 1e-9
+    budget_s = 60.0
+    t0 = time.perf_counter()
+    worst_supp = worst_cancel = 0.0
+    non_bipartite = 0
+    for k in range(40):
+        g = random_bipartite_graph(np.random.default_rng((99, k)), 24)
+        rng = np.random.default_rng((99, k, 1))
+        parts = bipartition(g)
+        sides = (parts.even, parts.odd)
+        inside = [pair for side in sides for pair in itertools.combinations(side, 2)]
+        h = _two_way(g, inside, rng, 0.3)
+        non_bipartite += bipartition(h) is None
+        for series in (EXP, random_polynomial_series(rng, 5)):
+            rep = check_transport_suppression(h, series, partition=parts.even)
+            worst_supp = max(worst_supp, rep.deviation)
+        d = random_directed_graph(np.random.default_rng((98, k)), 24)
+        rng = np.random.default_rng((98, k, 1))
+        free = [
+            (i, j)
+            for i, j in itertools.combinations(range(d.n), 2)
+            if (i, j) not in d.edges and (j, i) not in d.edges
+        ]
+        with_pairs = _two_way(d, free, rng, 0.2)
+        for series in (EXP, random_polynomial_series(rng, 5)):
+            rep = check_bidirected_edge_cancellation(d, with_pairs, series)
+            worst_cancel = max(worst_cancel, rep.deviation)
+    elapsed = time.perf_counter() - t0
+    ok = (
+        non_bipartite >= 30
+        and worst_supp <= tol_supp
+        and worst_cancel <= tol_cancel
+        and elapsed < budget_s
+    )
+    line = _report(
+        9,
+        "pi/2 suppression and cancellation, 2 x 40 random instances",
+        ok,
+        f"{non_bipartite}/40 suppression graphs non-bipartite, max cross probability "
+        f"{worst_supp:.3e} (tol {tol_supp:g}); max field gap {worst_cancel:.3e} "
+        f"(tol {tol_cancel:g}); {elapsed:.1f}s of {budget_s:.0f}s",
     )
     assert ok, line

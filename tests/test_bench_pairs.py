@@ -165,3 +165,32 @@ def test_src_lines_counts_the_package_modules_only(tmp_path):
     (tmp_path / "tests" / "test_a.py").write_text("assert True\n")
     assert bench_pairs.src_lines(tmp_path) == 4
     assert bench_pairs.src_lines(tmp_path / "tests") == 0
+
+
+def test_side_by_side_sets_each_traced_metric_of_both_sides_in_order():
+    per_layer = [
+        {"name": "spectral.peak_alloc_mb", "unit": "MiB", "better": "lower"},
+        {"name": "fft.calls", "unit": "count", "better": "lower"},
+        {"name": "cli.self_s", "unit": "s", "better": "lower"},
+    ]
+
+    def traced(workload, side, values):
+        metrics = {name: {"value": v, "unit": "?"} for name, v in values.items()}
+        return {"workload": workload, "side": side, "result": {"metrics": metrics}}
+
+    runs = [
+        traced("walk-mix", "parent", {"fft.calls": 40.0, "spectral.peak_alloc_mb": 19.4}),
+        traced("walk-mix", "change", {"spectral.peak_alloc_mb": 0.11, "fft.calls": 40.0}),
+        # a metric the run reports but BENCHMARK.json does not list is left out
+        traced("verify-suite", "parent", {"cli.self_s": 0.003, "walk.calls": 9.0}),
+    ]
+    layers = bench_pairs.side_by_side(runs, per_layer)
+    assert list(layers) == ["walk-mix", "verify-suite"]
+    assert list(layers["walk-mix"]) == ["spectral.peak_alloc_mb", "fft.calls"]
+    assert layers["walk-mix"]["spectral.peak_alloc_mb"] == {
+        "unit": "MiB", "better": "lower", "parent": 19.4, "change": 0.11}
+    assert layers["walk-mix"]["fft.calls"] == {
+        "unit": "count", "better": "lower", "parent": 40.0, "change": 40.0}
+    # the change's traced run is missing: only the parent's value is set
+    assert layers["verify-suite"] == {
+        "cli.self_s": {"unit": "s", "better": "lower", "parent": 0.003}}

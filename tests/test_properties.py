@@ -408,6 +408,21 @@ def test_suppression_gates_each_start_on_its_own(monkeypatch):
             check_transport_suppression(graph, EXP, TimeGrid(0.0, 0.0, 1))
 
 
+def test_suppression_computes_a_circulant_spectrum_once(monkeypatch):
+    # the 101 starts of the 202-node Moebius spec go in two groups of TIME_CHUNK,
+    # both walked by the one propagator built for the check
+    spectrum = ctqw.spectral.circulant_hamiltonian_spectrum
+    alphas = []
+
+    def counting(c, alpha, series):
+        alphas.append(alpha)
+        return spectrum(c, alpha, series)
+
+    monkeypatch.setattr(ctqw.spectral, "circulant_hamiltonian_spectrum", counting)
+    assert check_transport_suppression(moebius_spec(202), EXP).passed
+    assert alphas == [math.pi / 2]
+
+
 def test_suppression_rejects_a_growing_fourier_mode(monkeypatch):
     spectrum = ctqw.spectral.circulant_hamiltonian_spectrum
     monkeypatch.setattr(
@@ -561,3 +576,21 @@ def test_suppression_random_instances_small():
         series = random_polynomial_series(rng)
         rep = check_transport_suppression(g, series)
         assert rep.passed, rep.line()
+
+
+@pytest.mark.parametrize("instance", [[0, 1, 1, 0], np.eye(4), "ring"], ids=["list", "array", "str"])
+def test_every_check_rejects_a_non_graph_with_type_error(instance):
+    # the input's type is tested before the initial state is read against its size
+    calls = [
+        lambda: run_walk(instance, 0.3, EXP, 0, TINY_GRID),
+        lambda: check_transport_suppression(instance, EXP, TINY_GRID),
+        lambda: check_mirror_symmetries(instance, EXP, (0.2,), 0, TINY_GRID),
+        lambda: check_stationary_at_half_pi(instance, EXP, 0, TINY_GRID),
+        lambda: check_bidirected_edge_cancellation(build_ring(4), instance, EXP),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="expected DirectedGraph or CirculantSpec"):
+            call()
+    # a weighted circulant spec has no 0/1 graph, and the mirror check still takes it
+    weighted = CirculantSpec((0.0, 0.5, 0.0, 0.25))
+    assert check_mirror_symmetries(weighted, EXP, (0.2,), 0, TINY_GRID).passed

@@ -144,7 +144,7 @@ def test_amplitudes_grid_matches_single_steps():
     alpha = math.pi / 4
     psi0 = localized_state(8, 2)
     grid = TimeGrid(0.0, 3.0, 7)
-    amps = circulant_amplitudes(spec, alpha, series, psi0, grid)
+    amps = circulant_amplitudes(spec, alpha, series)(psi0, grid)
     assert amps.shape == (7, 8)
     for k, t in enumerate(grid.times()):
         step = _propagator_matrix(spec, alpha, series, float(t)) @ psi0
@@ -192,7 +192,7 @@ def test_amplitudes_match_dense_fourier_oracle(n, steps):
     s = fourier_basis(n)
     d = circulant_hamiltonian_spectrum(spec, alpha, series)
     for psi0 in (localized_state(n, n // 2), _superposition(n)):
-        amps = circulant_amplitudes(spec, alpha, series, psi0, grid)
+        amps = circulant_amplitudes(spec, alpha, series)(psi0, grid)
         assert amps.shape == (steps, n)
         oracle = (s @ (np.exp(-1j * np.outer(d, grid.times())) * (s.conj().T @ psi0)[:, None])).T
         assert np.max(np.abs(amps - oracle)) < 1e-12
@@ -219,7 +219,7 @@ def test_phase_table_matches_direct_exp_on_long_grids(spec, series, grid):
     d = circulant_hamiltonian_spectrum(spec, alpha, series)
     bound = eps * (1 + x) * np.max(np.abs(d)) * grid.t_end
     fourier = np.fft.ifft(np.exp(-1j * np.outer(times, d)) * np.fft.fft(psi0), axis=1)
-    amps = circulant_amplitudes(spec, alpha, series, psi0, grid)
+    amps = circulant_amplitudes(spec, alpha, series)(psi0, grid)
     assert np.max(np.abs(amps - fourier)) < bound
     graph = spec.to_graph()
     es = hermitian_eigendecomposition(assemble_hamiltonian(graph, alpha, series))
@@ -265,7 +265,7 @@ def test_fourier_engine_runs_on_an_ifft_without_out(monkeypatch):
 
     def fields():
         outs.clear()
-        walk = circulant_amplitudes(spec, 0.7, series, states[0], grid)
+        walk = circulant_amplitudes(spec, 0.7, series)(states[0], grid)
         # a single walk's chunks are mapped back straight into the rows of its result
         assert [out.shape for out in outs] == [(1, TIME_CHUNK, spec.n), (1, 5, spec.n)]
         assert all(out.base is walk for out in outs)
@@ -274,7 +274,7 @@ def test_fourier_engine_runs_on_an_ifft_without_out(monkeypatch):
         def keep(first, rows, block):
             streamed[first : first + len(block), rows] = block
 
-        circulant_amplitudes(spec, 0.7, series, states, grid, keep)
+        circulant_amplitudes(spec, 0.7, series)(states, grid, keep)
         out = np.empty((2, spec.n), dtype=complex)
         assert column(states[:2], out=out) is out
         return walk, streamed, out
@@ -295,7 +295,7 @@ def test_amplitudes_scratch_memory_is_linear_in_n():
     grid = TimeGrid(0.0, 1.0, 4)
     tracemalloc.start()
     try:
-        circulant_amplitudes(spec, 0.4, CouplingSeries.exp(), psi0, grid)
+        circulant_amplitudes(spec, 0.4, CouplingSeries.exp())(psi0, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -312,8 +312,8 @@ def test_amplitudes_scratch_memory_is_bounded_by_the_chunk():
     chunk_bytes = TIME_CHUNK * n * 16
     tracemalloc.start()
     try:
-        amps = circulant_amplitudes(
-            ring_spec(n), 0.4, CouplingSeries.exp(), localized_state(n, 0), grid
+        amps = circulant_amplitudes(ring_spec(n), 0.4, CouplingSeries.exp())(
+            localized_state(n, 0), grid
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -10,6 +10,7 @@ import ctqw.operators
 from ctqw import (
     CouplingSeries,
     DirectedGraph,
+    NonFiniteOperatorError,
     NormalizationError,
     TimeGrid,
     WalkResult,
@@ -365,6 +366,14 @@ def test_arrival_time():
         arrival_time(res, 0, threshold=0.0)
     with pytest.raises(ValueError):
         arrival_time(res, 0, threshold=1.5)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_non_finite_phase_fails_when_either_engine_builds_its_walk(alpha):
+    # each engine computes its spectrum once, in propagator(), before any state is given
+    for instance in (ring_spec(6), build_ring(6)):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteOperatorError, match="non-finite"):
+            propagator(instance, alpha, CouplingSeries.exp())
 
 
 def test_run_walk_rejects_unknown_topology():

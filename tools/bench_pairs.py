@@ -14,9 +14,11 @@ sides alike.  With ``--trace-seed`` each side then makes one traced run per
 workload.  The output file holds every run's JSON line, and per workload each
 side's median, quartiles (inclusive method), extremes, the number of pairs
 the change wins and a ``verdict`` on every end-to-end metric of
-``BENCHMARK.json``.  ``src_lines`` holds each side's line count of
-``src/ctqw/*.py``, the design metric.  The file is rewritten after every
-run, so an interrupted measurement keeps what it measured.
+``BENCHMARK.json``.  ``traced.layers`` sets the traced runs' per-layer
+metrics side by side, parent against change.  ``src_lines`` holds each
+side's line count of ``src/ctqw/*.py``, the design metric.  The file is
+rewritten after every run, so an interrupted measurement keeps what it
+measured.
 """
 
 from __future__ import annotations
@@ -120,6 +122,23 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def side_by_side(traced_runs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload, each per-layer metric's value in the parent's and the change's traced run.
+
+    Metrics follow ``metrics``' order; a side whose run lacks one has no value for it.
+    """
+    layers: dict = {}
+    for run in traced_runs:
+        values = run["result"]["metrics"]
+        row = layers.setdefault(run["workload"], {})
+        for metric in metrics:
+            if metric["name"] in values:
+                entry = row.setdefault(metric["name"], {"unit": metric["unit"],
+                                                        "better": metric["better"]})
+                entry[run["side"]] = values[metric["name"]]["value"]
+    return layers
+
+
 def host() -> str:
     model = platform.processor() or platform.machine()
     try:
@@ -172,6 +191,8 @@ def main(argv=None) -> int:
 
     def save() -> None:
         record["summary"] = summarize(record["runs"], bench["end_to_end"])
+        if "traced" in record:
+            record["traced"]["layers"] = side_by_side(record["traced"]["runs"], bench["per_layer"])
         out.write_text(json.dumps(record, indent=1) + "\n")
 
     for workload in workloads:
