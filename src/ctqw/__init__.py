@@ -57,11 +57,10 @@ from .walk import (
 )
 from .closed_forms import (
     ShiftReport,
-    StarClosedForm,
     half_pi_spectrum_shift,
     ring_closed_form_support,
     ring_hamiltonian_closed_form,
-    star_frequency_polynomial,
+    star_frequency,
     star_probability_field,
 )
 from .properties import (

@@ -16,74 +16,46 @@ from .operators import CouplingSeries, HermitianOperator, _real_number, _whole_n
 from .spectral import circulant_column, circulant_hamiltonian_spectrum
 
 
-@dataclass(frozen=True)
-class StarClosedForm:
-    """Two-level closed form for exp-coupled star walks started at the hub.
+def star_frequency(n_peripheral: int, directed: bool, alpha: float, series: CouplingSeries) -> float:
+    """Frequency omega of a hub-started star walk under any real series J:
 
-    The hub probability is (1 + cos(omega t))/2 and each peripheral node
-    carries (1 - cos(omega t))/(2 N) with
+        omega = 4 J_odd(sqrt(N)) cos(alpha)       (directed)
+        omega = 4 J_odd(2 sqrt(N) cos(alpha))     (undirected)
 
-        omega = 4 sinh(sqrt(N)) cos(alpha)       (directed)
-        omega = 4 sinh(2 sqrt(N) cos(alpha))     (undirected)
-
-    for N peripheral nodes.  On the undirected star A = A^T, so
-    A_H = 2 cos(alpha) A = cos(alpha) S with S = A + A^T; the only nonzero
-    eigenvalues of A are +/- sqrt(N), and H = 2 exp(A_H) splits the hub's
-    two-level subspace by 2 exp(x) - 2 exp(-x) = 4 sinh(x) with
-    x = 2 sqrt(N) cos(alpha).
+    with J_odd(x) = (J(x) - J(-x))/2.  The hub holds (1 + cos(omega t))/2 and each of the N
+    leaves (1 - cos(omega t))/(2 N): the walk stays in the span of the hub h and the uniform
+    leaf state l.  On the directed star A = sqrt(N) |h><l|, so A_H^(2n+1) = N^n A_H there,
+    J(A_H) = J_even(sqrt(N)) + J_odd(sqrt(N)) A_H / sqrt(N), and H = J + J^T couples h and l
+    by 2 J_odd(sqrt(N)) cos(alpha), half its splitting.  On the undirected star A = A^T, so
+    A_H = 2 cos(alpha) A; A's nonzero eigenvalues are +/- sqrt(N), and H = 2 J(A_H) splits
+    the span by 2 J(x) - 2 J(-x) = 4 J_odd(x) with x = 2 sqrt(N) cos(alpha).  OverflowError
+    where omega leaves the float range, as it does under exp once x passes about 709.
     """
-
-    n_peripheral: int
-    directed: bool
-    alpha: float
-
-    def __post_init__(self) -> None:
-        n_peripheral = _whole_number(self.n_peripheral, "star size")
-        if n_peripheral < 1:
-            raise ValueError("star needs at least one peripheral node")
-        object.__setattr__(self, "n_peripheral", n_peripheral)
-        object.__setattr__(self, "alpha", _real_number(self.alpha, "alpha"))
-
-    @property
-    def omega(self) -> float:
-        root = math.sqrt(self.n_peripheral)
-        if self.directed:
-            return 4.0 * math.sinh(root) * math.cos(self.alpha)
-        return 4.0 * math.sinh(2.0 * root * math.cos(self.alpha))
-
-    def probability(self, node: int, t):
-        """P(node, t) for hub-started evolution; node 0 is the hub."""
-        node = _whole_number(node, "node")
-        if not (0 <= node <= self.n_peripheral):
-            raise ValueError(
-                f"node {node} out of range for star with {self.n_peripheral} peripherals"
-            )
-        c = np.cos(self.omega * np.asarray(t, dtype=float))
-        if node == 0:
-            return (1.0 + c) / 2.0
-        return (1.0 - c) / (2.0 * self.n_peripheral)
-
-
-def star_frequency_polynomial(
-    n_peripheral: int, series: CouplingSeries, alpha: float
-) -> float:
-    """Directed-star hub frequency for an arbitrary real series: 4 J_odd(sqrt(N)) cos(alpha).
-
-    Follows from A_H^(2n+1) = N^n A_H on the directed star, which reduces any
-    series to its even/odd parts evaluated at sqrt(N).
-    """
-    form = StarClosedForm(n_peripheral, True, alpha)
-    root = math.sqrt(form.n_peripheral)
-    return 4.0 * float(series.odd_scalar(root)) * math.cos(form.alpha)
+    n_peripheral = _whole_number(n_peripheral, "star size")
+    if n_peripheral < 1:
+        raise ValueError("star needs at least one peripheral node")
+    root, cos_alpha = math.sqrt(n_peripheral), math.cos(_real_number(alpha, "alpha"))
+    x = root if directed else 2.0 * root * cos_alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = 4.0 * float(series.odd_scalar(x)) * (cos_alpha if directed else 1.0)
+    if not math.isfinite(omega):
+        raise OverflowError(f"star frequency overflows for {n_peripheral} peripheral nodes")
+    return omega
 
 
 def star_probability_field(n_peripheral: int, directed: bool, alpha: float, times) -> np.ndarray:
-    """Closed-form probability field, shape (len(times), n_peripheral + 1)."""
-    form = StarClosedForm(n_peripheral, directed, alpha)
+    """The exp-coupled field of ``star_frequency``, shape (len(times), n_peripheral + 1),
+    hub first; ``times`` must be 1-D and finite (ValueError), omega t too (OverflowError)."""
+    omega = star_frequency(n_peripheral, directed, alpha, CouplingSeries.exp())
     times = np.asarray(times, dtype=float)
-    field = np.empty((times.shape[0], form.n_peripheral + 1))
-    field[:, 0] = form.probability(0, times)
-    field[:, 1:] = form.probability(1, times)[:, None]
+    if times.ndim != 1 or not np.isfinite(times).all():
+        raise ValueError(f"times must be one-dimensional and finite, got shape {times.shape}")
+    if not math.isfinite(omega * float(np.abs(times).max(initial=0.0))):
+        raise OverflowError(f"star phase omega t is not finite for omega = {omega!r}")
+    c = np.cos(omega * times)
+    field = np.empty((len(times), int(n_peripheral) + 1))
+    field[:, 0] = (1.0 + c) / 2.0
+    field[:, 1:] = ((1.0 - c) / (2.0 * n_peripheral))[:, None]
     return field
 
 

@@ -414,43 +414,51 @@ def _hermitian_horner(coefficients, x: np.ndarray) -> np.ndarray:
     most the N^2 entries of P: below that count they cost a few passes over
     N^2 cells, against N^3 multiply-adds per dense product.  Once they would
     number more, or after the last step, they are summed into P once, and
-    the remaining steps are dense products.  Every partial sum is a
-    polynomial in X, so P X is Hermitian up to rounding; the sum and each
-    product keep their Hermitian part, so the result is exactly Hermitian
-    and needs no gate.
+    the remaining steps are dense products.  A dense X, whose first terms
+    already number more, starts from the dense c_d X + c_{d-1} I instead.
+    Every partial sum is a polynomial in X, so P X is Hermitian up to
+    rounding; the sum and each product keep their Hermitian part, so the
+    result is exactly Hermitian and needs no gate.
     """
     c = coefficients
     n = len(x)
-    rows, cols = np.nonzero(x)  # row-major, so the nonzeros of each row are one run
-    values = x[rows, cols]
-    # X is Hermitian, so its pattern is symmetric: row j and column j hold degree[j] nonzeros
-    degree = np.bincount(rows, minlength=n)
-    nodes = np.arange(n)
-    starts = np.searchsorted(rows, nodes)
     d = len(c) - 1
     # the terms of c_d X + c_{d-1} I, or of c_0 I for a constant: c_k is the last one added
     k = max(d - 1, 0)
-    i, j, v = nodes, nodes, np.full(n, c[k], dtype=x.dtype)
-    if d:
-        i, j = np.concatenate([rows, nodes]), np.concatenate([cols, nodes])
-        v = np.concatenate([c[d] * values, v])
-    while k > 0:
-        counts = degree[j]
-        total = int(counts.sum())
-        if total + n > n * n:
-            break
-        k -= 1
-        # index into (cols, values) of each extension: term t's run starts at starts[j[t]]
-        at = np.arange(total) + np.repeat(starts[j] - (np.cumsum(counts) - counts), counts)
-        i = np.concatenate([np.repeat(i, counts), nodes])
-        j = np.concatenate([cols[at], nodes])
-        v = np.concatenate([np.repeat(v, counts) * values[at], np.full(n, c[k], dtype=x.dtype)])
-    key = i * n + j
-    p = np.empty(n * n, dtype=x.dtype)
-    p.real = np.bincount(key, v.real, n * n)
-    if np.iscomplexobj(p):
-        p.imag = np.bincount(key, v.imag, n * n)
-    p = _hermitize(p.reshape(n, n))
+    # X is Hermitian, so its pattern is symmetric: row j and column j hold degree[j] nonzeros
+    degree = np.count_nonzero(x, axis=1)
+    # the loop's first count test, on the terms of c_d X + c_{d-1} I
+    if d and int(degree @ (degree + 1)) + n > n * n:
+        p = c[d] * x
+        p += 0.0  # -0.0 to 0.0, as in the terms' sum: LAPACK's reflectors read a zero's sign
+        p.flat[:: n + 1] += c[k]
+    else:
+        rows, cols = np.nonzero(x)  # row-major, so the nonzeros of each row are one run
+        values = x[rows, cols]
+        nodes = np.arange(n)
+        starts = np.searchsorted(rows, nodes)
+        i, j, v = nodes, nodes, np.full(n, c[k], dtype=x.dtype)
+        if d:
+            i, j = np.concatenate([rows, nodes]), np.concatenate([cols, nodes])
+            v = np.concatenate([c[d] * values, v])
+        while k > 0:
+            counts = degree[j]
+            total = int(counts.sum())
+            if total + n > n * n:
+                break
+            k -= 1
+            # index into (cols, values) of each extension: term t's run starts at starts[j[t]]
+            at = np.arange(total) + np.repeat(starts[j] - (np.cumsum(counts) - counts), counts)
+            i = np.concatenate([np.repeat(i, counts), nodes])
+            j = np.concatenate([cols[at], nodes])
+            v = np.concatenate([np.repeat(v, counts) * values[at], np.full(n, c[k], dtype=x.dtype)])
+        key = i * n + j
+        p = np.empty(n * n, dtype=x.dtype)
+        p.real = np.bincount(key, v.real, n * n)
+        if np.iscomplexobj(p):
+            p.imag = np.bincount(key, v.imag, n * n)
+        p = p.reshape(n, n)
+    p = _hermitize(p)
     for k in range(k - 1, -1, -1):
         p = _hermitize(p @ x)
         p.flat[:: n + 1] += c[k]

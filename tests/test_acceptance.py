@@ -7,10 +7,10 @@ carries the full measurement.
 
 Criterion 1 checks both star branches against the closed forms: the directed
 star oscillates at 4 sinh(sqrt N) cos(alpha) and the undirected star at
-4 sinh(2 sqrt(N) cos(alpha)) (derived in ctqw.closed_forms.StarClosedForm).
-Its tolerance is 1e-9 per cell, widened only where the rounding floor of the
-phase, eps (1 + |x|) max|E| t_end, exceeds it; see the test's comment.  The
-whole suite passes (122 tests).
+4 sinh(2 sqrt(N) cos(alpha)), exp's cases of ctqw.closed_forms.star_frequency
+(which derives them for any series).  Its tolerance is 1e-9 per cell, widened
+only where the rounding floor of the phase, eps (1 + |x|) max|E| t_end,
+exceeds it; see the test's comment.
 """
 
 import itertools

@@ -1,6 +1,8 @@
 """Analytic oracles: star oscillations, ring first-row forms, spectrum shifts."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ import pytest
 from ctqw import (
     CirculantSpec,
     CouplingSeries,
-    StarClosedForm,
     TimeGrid,
     assemble_hamiltonian,
     build_star,
@@ -20,32 +21,32 @@ from ctqw import (
     ring_hamiltonian_closed_form,
     ring_spec,
     run_walk,
-    star_frequency_polynomial,
+    star_frequency,
     star_probability_field,
 )
 from ctqw import closed_forms
+
+EXP = CouplingSeries.exp()
 
 
 def test_star_frequency_pinned_forms():
     for n in (1, 4, 9):
         for alpha in (0.0, 0.4, math.pi / 2):
             base = 4 * math.sinh(math.sqrt(n)) * math.cos(alpha)
-            assert StarClosedForm(n, True, alpha).omega == pytest.approx(base)
+            assert star_frequency(n, True, alpha, EXP) == pytest.approx(base)
             # undirected: A_H = 2 cos(alpha) S, so the exponent doubles inside sinh
             undirected = 4 * math.sinh(2 * math.sqrt(n) * math.cos(alpha))
-            assert StarClosedForm(n, False, alpha).omega == pytest.approx(undirected)
+            assert star_frequency(n, False, alpha, EXP) == pytest.approx(undirected)
 
 
 def test_star_probability_conserves_mass():
-    form = StarClosedForm(5, True, 0.3)
     t = np.linspace(0, 8, 50)
-    total = form.probability(0, t) + 5 * form.probability(1, t)
-    assert np.max(np.abs(total - 1.0)) < 1e-12
-    assert np.allclose(form.probability(2, t), form.probability(5, t))
+    for directed in (True, False):
+        field = star_probability_field(5, directed, 0.3, t)
+        assert np.max(np.abs(field.sum(axis=1) - 1.0)) < 1e-12
+        assert np.array_equal(field[:, 2], field[:, 5])
     with pytest.raises(ValueError):
-        form.probability(6, 0.0)
-    with pytest.raises(ValueError):
-        StarClosedForm(0, True, 0.0)
+        star_frequency(0, True, 0.0, EXP)
 
 
 def test_star_probability_field_shape():
@@ -53,7 +54,35 @@ def test_star_probability_field_shape():
     field = star_probability_field(3, True, 0.2, times)
     assert field.shape == (9, 4)
     assert np.allclose(field.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(field[:, 0], StarClosedForm(3, True, 0.2).probability(0, times))
+    omega = star_frequency(3, True, 0.2, EXP)
+    assert np.allclose(field[:, 0], (1 + np.cos(omega * times)) / 2)
+
+
+@pytest.mark.parametrize(
+    "times", [1.0, [[0.0, 1.0]], [0.0, math.nan]], ids=["scalar", "row", "nan"]
+)
+def test_star_probability_field_takes_one_dimensional_finite_times(times):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(times)}")):
+        star_probability_field(3, True, 0.2, times)
+
+
+@pytest.mark.parametrize(
+    "directed, n_finite, n_over", [(True, 500000, 504101), (False, 125000, 126026)]
+)
+def test_star_overflow_raises_arithmetic_error(directed, n_finite, n_over):
+    # 4 J_odd(x) under exp leaves the float range once x passes about 709.1:
+    # sqrt(N) on the directed star, 2 sqrt(N) at alpha 0 on the undirected one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError):
+            star_frequency(n_over, directed, 0.0, EXP)
+        with pytest.raises(ArithmeticError):
+            star_probability_field(n_over, directed, 0.0, [0.0, 1.0])
+        # below it omega is finite, but omega t at t = 10 is not
+        assert math.isfinite(star_frequency(n_finite, directed, 0.0, EXP))
+        assert np.isfinite(star_probability_field(n_finite, directed, 0.0, [0.0, 1.0])).all()
+        with pytest.raises(ArithmeticError):
+            star_probability_field(n_finite, directed, 0.0, [0.0, 10.0])
 
 
 def test_directed_star_walk_matches_closed_form():
@@ -72,7 +101,7 @@ def test_undirected_star_walk_matches_two_level_reduction():
     # coupling then leaves a two-level problem with splitting
     # 2 exp(2 sqrt(N) cos a) - 2 exp(-2 sqrt(N) cos a) = 4 sinh(2 sqrt(N) cos a).
     # That is the frequency the simulator must reproduce, and the one
-    # StarClosedForm gives for the undirected star.  This test derives it
+    # star_frequency gives for the undirected star under exp.  This test derives it
     # here by hand so the engine is checked independently of that oracle.
     grid = TimeGrid(0.0, 10.0, 200)
     times = grid.times()
@@ -113,7 +142,7 @@ def test_polynomial_star_frequency():
     # omega = 4 * J_odd(sqrt N) * cos(alpha)
     series = CouplingSeries.polynomial([0.2, 0.5, -0.3, 0.1])
     n, alpha = 5, 0.6
-    omega = star_frequency_polynomial(n, series, alpha)
+    omega = star_frequency(n, True, alpha, series)
     root = math.sqrt(n)
     by_hand = 4 * (0.5 * root + 0.1 * root**3) * math.cos(alpha)
     assert omega == pytest.approx(by_hand)
@@ -121,6 +150,31 @@ def test_polynomial_star_frequency():
     res = run_walk(build_star(n), alpha, series, 0, grid)
     hub = (1 + np.cos(omega * grid.times())) / 2
     assert np.max(np.abs(res.probabilities[:, 0] - hub)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        CouplingSeries.sinh(),
+        CouplingSeries.cosh(),
+        CouplingSeries.identity(),
+        CouplingSeries.polynomial([0.2, 0.5, -0.3, 0.1]),
+    ],
+    ids=["sinh", "cosh", "identity", "polynomial"],
+)
+def test_star_walk_follows_star_frequency_under_every_series(series):
+    # the two-level reduction keeps only J's odd part, on both orientations;
+    # cosh has none, so its hub never moves
+    grid = TimeGrid(0.0, 10.0, 200)
+    times = grid.times()
+    for directed in (True, False):
+        for n in (1, 4, 16):
+            for alpha in (0.0, 0.7, math.pi / 2, 2.5):
+                c = np.cos(star_frequency(n, directed, alpha, series) * times)
+                res = run_walk(build_star(n, directed), alpha, series, 0, grid)
+                assert np.max(np.abs(res.probabilities[:, 0] - (1 + c) / 2)) < 1e-9
+                leaves = res.probabilities[:, 1:] - ((1 - c) / (2 * n))[:, None]
+                assert np.max(np.abs(leaves)) < 1e-9
 
 
 def test_ring_closed_form_identity_coupling():

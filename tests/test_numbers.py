@@ -12,7 +12,6 @@ from ctqw import (
     DirectedGraph,
     HermitianOperator,
     NonFiniteOperatorError,
-    StarClosedForm,
     TimeGrid,
     WalkResult,
     arrival_time,
@@ -32,7 +31,7 @@ from ctqw import (
     ring_hamiltonian_closed_form,
     ring_spec,
     run_walk,
-    star_frequency_polynomial,
+    star_frequency,
     star_probability_field,
     validate_state,
 )
@@ -62,8 +61,8 @@ REAL_ENTRIES = {
     "CirculantSpec-coefficient": lambda v: CirculantSpec((0.0, v, 0.0)),
     "mirror-delta": lambda v: check_mirror_symmetries(ring_spec(4), EXP, [v], 0, GRID),
     "arrival_time-threshold": lambda v: arrival_time(RESULT, 0, v),
-    "StarClosedForm-alpha": lambda v: StarClosedForm(2, True, v),
-    "star_frequency_polynomial-alpha": lambda v: star_frequency_polynomial(2, EXP, v),
+    "star_frequency-alpha": lambda v: star_frequency(2, True, v, EXP),
+    "star_probability_field-alpha": lambda v: star_probability_field(2, False, v, [0.0, 1.0]),
     "ring_hamiltonian_closed_form-alpha": lambda v: ring_hamiltonian_closed_form(6, v, [1.0]),
     "ring_hamiltonian_closed_form-coefficient": (
         lambda v: ring_hamiltonian_closed_form(6, 0.1, [1.0, v])
@@ -87,9 +86,7 @@ WHOLE_ENTRIES = {
         lambda v: check_transport_suppression(build_star(3), EXP, GRID, [v]),
         0,
     ),
-    "StarClosedForm-size": (lambda v: StarClosedForm(v, True, 0.1), 2),
-    "StarClosedForm-node": (lambda v: StarClosedForm(2, True, 0.1).probability(v, 1.0), 1),
-    "star_frequency_polynomial-size": (lambda v: star_frequency_polynomial(v, EXP, 0.1), 2),
+    "star_frequency-size": (lambda v: star_frequency(v, False, 0.1, EXP), 2),
     "star_probability_field-size": (lambda v: star_probability_field(v, True, 0.1, [0.0, 1.0]), 2),
     "ring_closed_form_support-size": (lambda v: ring_closed_form_support(v, 2), 6),
     "ring_closed_form_support-order": (lambda v: ring_closed_form_support(6, v), 2),

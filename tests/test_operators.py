@@ -1,6 +1,7 @@
 """Phase handling, coupling series, and Hamiltonian assembly."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -480,6 +481,36 @@ def test_horner_loop_densifies_in_place(monkeypatch):
         assert p.dtype == x.dtype and np.array_equal(p, p.conj().T)
         error = float(np.max(np.abs(p - _clongdouble_polynomial(coefficients, x))))
         assert error <= _horner_loop_bound(coefficients, x)
+
+
+def test_horner_starts_dense_on_a_dense_operator():
+    # on a dense X the first step's N^2 + N walk terms would outnumber P's N^2 cells,
+    # so P starts as the dense c_3 X + c_2 I; building and summing those terms first
+    # peaked at 5.0 MiB here, against the four N x N complex arrays allowed below
+    n = 200
+    x = HermitianOperator(_random_hermitian(np.random.default_rng(11), n)).matrix
+    c = (0.3, -0.7, 0.5, 0.25)
+    tracemalloc.start()
+    try:
+        p = _hermitian_horner(c, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.nbytes
+
+    def hermitian_part(m):
+        return (m + m.conj().T) / 2
+
+    reference = hermitian_part(c[3] * x + c[2] * np.eye(n))
+    for ck in c[1::-1]:
+        reference = hermitian_part(reference @ x) + ck * np.eye(n)
+    assert np.array_equal(p, reference)
+    # X's zeros, here those inside each side of a complete bipartite digraph, stay 0.0
+    # as in the summed terms, not the -0.0 of c_d < 0: the eigensolver reads zero signs
+    bipartite = DirectedGraph(6, frozenset((i, j) for i in range(3) for j in range(3, 6)))
+    x = hermitian_adjacency(bipartite, 0.4).matrix
+    zeros = _hermitian_horner((0.5, -1.0), x)[x == 0]
+    assert not (np.signbit(zeros.real).any() or np.signbit(zeros.imag).any())
 
 
 def test_horner_routes_a_polynomial_by_its_degree():
